@@ -1,6 +1,6 @@
 """pptor benchmark: run one workload (or all), check every output, print metrics.
 
-    python3 perfbench/run.py --workload eval-oracle --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload eval-oracle --seed 1 --seconds 25 --trace 0
 
 Run from the root of a checkout.  Each workload runs in fresh worker
 processes (perfbench/worker.py) on the pptor sources under src/, one
@@ -12,6 +12,10 @@ with every end-to-end metric of BENCHMARK.json; with --trace 1 it carries
 every per-layer metric instead, from a fixed amount of work run once untraced
 and once traced (the difference is the tracing overhead).  The line before it
 records the environment.  Full results go to perfbench/out/.
+
+--workload all runs the workloads of BENCHMARK.json.  cli-tour is not among
+them (its timings are too unsteady on a shared machine; see README.md) and
+runs only when named.
 """
 
 from __future__ import annotations
@@ -32,8 +36,12 @@ ROOT = HERE.parent
 OUT = HERE / "out"
 WORKER = HERE / "worker.py"
 WORKLOADS = ("eval-oracle", "purity-sweep", "pp-types", "cli-tour")
-SETUP_PROBES = 4  # extra fresh processes timed for set-up, besides the measured one
-RUN_TIMEOUT_S = 170.0  # per workload, for all of its workers together
+
+
+def run_timeout(seconds: float) -> float:
+    """Deadline for all of one workload's workers together: 162.5 s at the
+    default 25 s, more for longer runs (checks and set-up come on top)."""
+    return 100.0 + 2.5 * seconds
 
 
 class BenchError(RuntimeError):
@@ -50,26 +58,26 @@ def _read_line(proc, deadline: float) -> str:
     return line.strip()
 
 
-def run_worker(args: list[str], deadline: float, result: bool = True):
-    """Start a worker; return (seconds from launch to "ready", its result)."""
+def run_worker(args: list[str], deadline: float) -> dict:
+    """Start a worker; return its result line."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    t0 = time.perf_counter()
+    # its own process group, so that a worker stopped early takes the
+    # processes it started (set-up samples, CLI commands) with it
     proc = subprocess.Popen([sys.executable, str(WORKER), *args], cwd=ROOT, env=env,
-                            stdout=subprocess.PIPE, text=True)
+                            stdout=subprocess.PIPE, text=True, start_new_session=True)
     try:
-        if _read_line(proc, deadline) != "ready":
+        if not _read_line(proc, deadline).startswith("ready "):
             raise BenchError("worker did not report ready")
-        ready = time.perf_counter() - t0
-        out = json.loads(_read_line(proc, deadline)) if result else None
+        out = json.loads(_read_line(proc, deadline))
         code = proc.wait(timeout=max(deadline - time.perf_counter(), 1.0))
         if code != 0:
             raise BenchError(f"worker exited with code {code}")
-        return ready, out
+        return out
     finally:
         if proc.poll() is None:
-            proc.kill()
+            os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
         proc.stdout.close()
 
@@ -86,28 +94,21 @@ def git_sha() -> str | None:
     return lines[1]
 
 
-def end_to_end(name: str, common: list[str], seconds: float,
-               deadline: float) -> tuple[dict, dict]:
-    setup = []
-    if name != "cli-tour":
-        for _ in range(SETUP_PROBES):
-            setup.append(run_worker([*common, "--mode", "setup"], deadline, False)[0])
-    ready, res = run_worker([*common, "--mode", "timed", "--seconds", str(seconds)],
-                            deadline)
+def end_to_end(common: list[str], seconds: float, deadline: float) -> tuple[dict, dict]:
+    res = run_worker([*common, "--mode", "timed", "--seconds", str(seconds)], deadline)
     if "op_p50_ms" not in res:
         raise BenchError(f"too few operations completed: {res['failures']}")
-    setup = res.pop("setup_samples", None) or setup + [ready]
+    setup = res.pop("setup_samples")
     metrics = {"setup_s": statistics.median(setup),
-               "ops_per_s": res["completed"] / res["wall_s"],
-               **{k: res[k] for k in ("op_p50_ms", "op_p90_ms", "op_p99_ms",
-                                      "peak_rss_mb")}}
+               **{k: res[k] for k in ("ops_per_s", "op_p50_ms", "op_p90_ms",
+                                      "op_p99_ms", "peak_rss_mb")}}
     res["setup_samples_s"] = setup
     return metrics, res
 
 
 def per_layer(common: list[str], deadline: float) -> tuple[dict, dict]:
-    _, plain = run_worker([*common, "--mode", "fixed"], deadline)
-    _, traced = run_worker([*common, "--mode", "fixed", "--traced"], deadline)
+    plain = run_worker([*common, "--mode", "fixed"], deadline)
+    traced = run_worker([*common, "--mode", "fixed", "--traced"], deadline)
     metrics = dict(traced.pop("layers"))
     for key in ("cli.interpreter_ms", "cli.import_ms", "cli.main_ms"):
         metrics[key] = plain.get(key, 0.0)
@@ -120,11 +121,11 @@ def per_layer(common: list[str], deadline: float) -> tuple[dict, dict]:
 def run_one(name: str, seed: int, seconds: float, trace: bool, small: bool,
             spec: dict) -> dict:
     common = ["--workload", name, "--seed", str(seed)] + (["--small"] if small else [])
-    deadline = time.perf_counter() + RUN_TIMEOUT_S
+    deadline = time.perf_counter() + run_timeout(seconds)
     if trace:
         metrics, res = per_layer(common, deadline)
     else:
-        metrics, res = end_to_end(name, common, seconds, deadline)
+        metrics, res = end_to_end(common, seconds, deadline)
     wanted = spec["per_layer" if trace else "end_to_end"]
     missing = [m["name"] for m in wanted if m["name"] not in metrics]
     if missing:
@@ -136,7 +137,8 @@ def run_one(name: str, seed: int, seconds: float, trace: bool, small: bool,
                         for m in wanted}}
     OUT.mkdir(exist_ok=True)
     path = OUT / f"result-{name}-seed{seed}-trace{int(trace)}.json"
-    path.write_text(json.dumps({"env": env, "seconds": seconds, "run": res, **line},
+    path.write_text(json.dumps({"env": env, "seconds": seconds, "run": res,
+                                "measured": metrics, **line},
                                indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
     print(json.dumps({"env": env}, ensure_ascii=False), flush=True)
     return line
@@ -146,7 +148,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", default="all", choices=WORKLOADS + ("all",))
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--small", action="store_true",
                     help="tiny inputs and one round: every workload and check in seconds")
@@ -158,7 +160,8 @@ def main(argv=None) -> int:
         print(f"error: no pptor sources under {ROOT / 'src'}", file=sys.stderr)
         return 2
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    names = WORKLOADS if args.workload == "all" else (args.workload,)
+    names = ([w["name"] for w in spec["workloads"]] if args.workload == "all"
+             else (args.workload,))
     lines = {}
     try:
         for name in names:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import shutil
 import subprocess
@@ -33,7 +34,8 @@ def last_json(stdout: str) -> dict:
 
 
 @pytest.mark.parametrize("trace", ["0", "1"])
-@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
+@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]]
+                         + ["cli-tour"])
 def test_small_mode_runs_every_workload_and_check(workload, trace):
     out = run_bench("--workload", workload, "--seed", "3", "--small", "--trace", trace)
     assert out.returncode == 0, out.stderr
@@ -61,11 +63,56 @@ def test_refuses_to_run_without_the_program(tmp_path):
     assert out.stdout.strip() == ""
 
 
-def test_benchmark_json_lists_every_traced_metric():
-    names = {m["name"] for m in SPEC["per_layer"]}
+def test_setup_worker_reports_its_own_build_time():
+    out = subprocess.run([sys.executable, "perfbench/worker.py", "--workload",
+                          "purity-sweep", "--seed", "1", "--small", "--mode", "setup"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=60,
+                         env={"PYTHONPATH": str(ROOT / "src"), "PATH": ""})
+    assert out.returncode == 0, out.stderr
+    word, seconds = out.stdout.split()
+    assert word == "ready" and 0 < float(seconds) < 30
+
+
+def test_run_deadline_follows_seconds():
+    import run
+
+    assert run.run_timeout(SPEC["run_seconds"]) <= 170  # a run ends within 180 s
+    for seconds in (1, 20, 60):  # two cli-tour passes and checks fit
+        assert run.run_timeout(seconds) >= 2 * seconds + 100
+
+
+def test_runner_keeps_each_operations_best_time():
+    import worker
+
+    def op(i):
+        if i == 2:
+            raise workloads.OpFailed("fails every round")
+        return sum(range(1000 * (i + 1)))
+
+    def batches():
+        return [workloads.Batch([functools.partial(op, i) for i in range(2)],
+                                lambda outs: None),
+                workloads.Batch([functools.partial(op, i) for i in range(2, 4)],
+                                lambda outs: None)]
+
+    runner = worker.Runner()
+    for _ in range(3):
+        runner.run_round(batches())
+    assert runner.attempted == 12 and runner.summary()["failed"] == 3
+    assert sorted(runner.best) == [0, 1, 3]  # the failing position has no time
+    for k, pos in enumerate((0, 1, 3)):
+        assert runner.best[pos] == min(runner.durations[k::3])
+    timings = runner.timings()
+    assert timings["ops_per_s"] == 3 / sum(runner.best.values())
+    assert timings["all_ops"]["ops_per_s"] == 9 / runner.wall
+
+
+def test_every_per_layer_metric_is_measured():
+    measured = {"kernels.table_bytes", "kernels.free_assignments", "cli.interpreter_ms",
+                "cli.import_ms", "cli.main_ms", "trace.overhead_pct"}
     for target, (_, _, fields) in tracing.TARGETS.items():
-        assert f"{target}.calls" in names
-        assert {f"{target}.{f}" for f in fields} <= names
+        measured |= {f"{target}.calls"} | {f"{target}.{f}" for f in fields}
+    assert {m["name"] for m in SPEC["per_layer"]} <= measured
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 Modes:
   setup  build the workload (import pptor, generate the inputs), print
-         "ready" and exit; run.py times launch to "ready" as set-up time.
-  timed  build, print "ready", then run whole rounds until the timed
+         "ready <seconds the build took>" and exit.  A timed run starts
+         such workers between its batches to sample set-up time.
+  timed  build, print "ready <seconds>", then run whole rounds until the timed
          operations have taken --seconds (and at least the workload's
          minimum number of rounds; one round with --small); check every
-         output; print one JSON result line.
+         output; print one JSON result line.  Its timings come from each
+         operation's best time over the rounds.
   fixed  run FIXED_ROUNDS rounds, with --traced wrapping pptor's public
          functions in spans; print one JSON result line with the timed wall
          time and, when traced, the per-layer metrics.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import resource
 import statistics
@@ -33,15 +36,21 @@ OUT = Path(__file__).resolve().parent / "out"
 
 # rounds of the fixed-work runs behind the per-layer metrics
 FIXED_ROUNDS = {"eval-oracle": 6, "purity-sweep": 10, "pp-types": 4, "cli-tour": 1}
-SETUP_SAMPLES = 5  # cli-tour: warm-up commands timed as set-up
+SETUP_SAMPLES = 13  # set-up samples per timed run, spread over the run
 PROBES = 5  # cli-tour, per-layer run: fresh interpreters and imports
 
 
 class Runner:
-    """Runs batches, timing each operation; checks outputs after each batch."""
+    """Runs batches, timing each operation; checks outputs after each batch.
 
-    def __init__(self):
+    Every round holds the same operations in the same order, so an
+    operation is known by its position in the round.  ``best`` keeps each
+    position's fastest successful time over the rounds run so far."""
+
+    def __init__(self, between=None):
+        self.between = between  # called with the timed seconds after each batch
         self.durations: list[float] = []
+        self.best: dict[int, float] = {}
         self.wall = 0.0
         self.attempted = 0
         self.failures: list[str] = []
@@ -49,6 +58,7 @@ class Runner:
 
     def run_round(self, batches) -> None:
         clock = time.perf_counter
+        pos = 0
         for batch in batches:
             outs = []
             start = clock()
@@ -67,12 +77,17 @@ class Runner:
                     out = workloads.FAILED
                 else:
                     self.durations.append(t1 - t0)
+                    if t1 - t0 < self.best.get(pos, math.inf):
+                        self.best[pos] = t1 - t0
+                pos += 1
                 outs.append(out)
             self.wall += clock() - start
             try:
                 batch.check(outs)
             except CheckError as exc:
                 self.check_errors.append(str(exc))
+            if self.between is not None:
+                self.between(self.wall)
 
     def summary(self) -> dict:
         return {"attempted": self.attempted, "failed": len(self.failures),
@@ -80,6 +95,14 @@ class Runner:
                 "failures": sorted(set(self.failures))[:5],
                 "check_errors": self.check_errors[:5],
                 "correct": not self.check_errors}
+
+    def timings(self) -> dict:
+        """The end-to-end timings, from each operation's best time; and the
+        same figures over every timed operation, kept as ``all_ops``."""
+        best = list(self.best.values())
+        return {**latency_ms(best), "ops_per_s": len(best) / sum(best),
+                "all_ops": {**latency_ms(self.durations),
+                            "ops_per_s": len(self.durations) / self.wall}}
 
 
 def latency_ms(durations) -> dict:
@@ -101,10 +124,38 @@ def timed_fresh(argv) -> float:
     return time.perf_counter() - t0
 
 
-def cli_setup(wl) -> list[float]:
-    """cli-tour set-up: the untimed warm-up command, once per sample."""
-    argv = workloads.README_TOUR[0]["argv"]
-    return [timed_fresh(wl.command(argv)) for _ in range(SETUP_SAMPLES)]
+class SetupSamples:
+    """Set-up time, sampled SETUP_SAMPLES times at even steps of a timed run:
+    the k-th sample falls due once k/SETUP_SAMPLES of --seconds has been
+    timed.  In-process workloads: the run's own build, then fresh workers
+    that only build the workload.  cli-tour: the untimed warm-up command, in
+    a fresh process each time."""
+
+    def __init__(self, args, wl, own_build: float):
+        self.args, self.wl = args, wl
+        self.cli = args.workload == "cli-tour"
+        self.samples = [] if self.cli else [own_build]
+
+    def take(self) -> float:
+        if self.cli:
+            return timed_fresh(self.wl.command(workloads.README_TOUR[0]["argv"]))
+        argv = [sys.executable, __file__, "--workload", self.args.workload,
+                "--seed", str(self.args.seed), "--mode", "setup"]
+        out = subprocess.run(argv + (["--small"] if self.args.small else []),
+                             check=True, capture_output=True, text=True, cwd=ROOT,
+                             timeout=60).stdout.split()
+        if len(out) != 2 or out[0] != "ready":
+            raise RuntimeError(f"set-up worker printed {out}")
+        return float(out[1])
+
+    def due(self, timed: float) -> None:
+        while (len(self.samples) < SETUP_SAMPLES
+               and timed >= self.args.seconds * len(self.samples) / SETUP_SAMPLES):
+            self.samples.append(self.take())
+
+    def finish(self) -> list[float]:
+        self.due(math.inf)
+        return self.samples
 
 
 def cli_probes() -> dict:
@@ -134,7 +185,7 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--mode", choices=("setup", "timed", "fixed"), required=True)
     ap.add_argument("--traced", action="store_true")
     ap.add_argument("--small", action="store_true")
@@ -148,15 +199,19 @@ def main() -> int:
 
         tracer = tracing.Tracer()
         tracer.install()
+    t0 = time.perf_counter()
     wl = build(args.workload, args.seed, args.small, inproc=args.mode == "fixed")
-    print("ready", flush=True)
+    own_build = time.perf_counter() - t0
+    print(f"ready {own_build!r}", flush=True)
     if args.mode == "setup":
         return 0
 
     result: dict = {}
-    if args.mode == "timed" and cli:
-        result["setup_samples"] = cli_setup(wl)
-    runner = Runner()
+    setup = None
+    if args.mode == "timed":
+        setup = SetupSamples(args, wl, own_build)
+        setup.due(0.0)
+    runner = Runner(setup.due if setup else None)
     rounds = 0
     if args.mode == "timed" and not args.small:
         min_rounds = getattr(wl, "min_rounds", 1)
@@ -167,12 +222,15 @@ def main() -> int:
         for _ in range(1 if args.small else FIXED_ROUNDS[args.workload]):
             runner.run_round(wl.round())
             rounds += 1
-    result.update(runner.summary(), rounds=rounds, env=env_info())
-    if args.mode == "timed":
+    if setup is not None:
+        result["setup_samples"] = setup.finish()
+    if args.mode == "timed":  # before env_info(), which imports numpy
         who = resource.RUSAGE_CHILDREN if cli else resource.RUSAGE_SELF
         result["peak_rss_mb"] = resource.getrusage(who).ru_maxrss / 1024
-        if len(runner.durations) >= 2:  # else run.py reports the run as broken
-            result.update(latency_ms(runner.durations))
+    result.update(runner.summary(), rounds=rounds, env=env_info())
+    if args.mode == "timed":
+        if len(runner.best) >= 2:  # else run.py reports the run as broken
+            result.update(runner.timings())
     elif cli and not args.traced:
         result["cli.main_ms"] = statistics.median(runner.durations) * 1e3
         result.update(cli_probes())

@@ -57,11 +57,15 @@ class EvalOracle:
     brute-force oracle on the normalized formula.  A batch is one formula over
     every group of order ≤ MAX_ORDER; a round is one formula of each of the 24
     shapes (free, bound, equation counts) that corpus.random_formula draws,
-    so every round carries the same mix of oracle table sizes."""
+    so every round carries the same mix of oracle table sizes.  The oracle's
+    cost depends on the coefficients, so the formulas are the same for every
+    seed, drawn from FORMULA_SEED; the seed orders the formulas and the
+    groups and picks the pairs checked naively.  Every round repeats them."""
 
     name = "eval-oracle"
     MAX_ORDER = 40
     SHAPES = [(nf, nb, ne) for nf in (1, 2) for nb in range(4) for ne in (1, 2, 3)]
+    FORMULA_SEED = "eval-oracle formulas"
     # naive enumeration checks one seeded pair per formula with at most this
     # many assignments of all variables
     NAIVE_MAX = 1024
@@ -71,32 +75,32 @@ class EvalOracle:
 
         self.corpus, self.formulas = corpus, formulas
         self.kernels, self.ppsolve = kernels, ppsolve
-        self.rng = random.Random(seed)
-        self.sample_rng = random.Random(f"naive-{seed}")
-        self.groups = groups.abelian_groups_upto(8 if small else self.MAX_ORDER)
-        self.orders = [G.order() for G in self.groups]
-        self.pending = self._draw_round()
-
-    def _draw_round(self):
-        out = []
+        draw = random.Random(self.FORMULA_SEED)
+        rng = random.Random(seed)
+        fs = []
         for shape in self.SHAPES:
             while True:
-                f = self.corpus.random_formula(self.rng)
+                f = corpus.random_formula(draw)
                 if (len(f.free_vars), len(f.bound_vars), len(f.equations)) == shape:
-                    out.append(f)
+                    fs.append(f)
                     break
-        return out
+        rng.shuffle(fs)
+        self.groups = groups.abelian_groups_upto(8 if small else self.MAX_ORDER)
+        rng.shuffle(self.groups)
+        orders = [G.order() for G in self.groups]
+        self.cases = []  # (formula, index of the group checked naively)
+        for f in fs:
+            nvars = len(f.free_vars) + len(f.bound_vars)
+            small_groups = [i for i, n in enumerate(orders)
+                            if 2 <= n and n ** nvars <= self.NAIVE_MAX]
+            self.cases.append((f, rng.choice(small_groups)))
+        # hashes of the outputs already checked, per (formula, group) position
+        self.verified: dict = {}
 
     def round(self) -> list[Batch]:
-        fs = self.pending or self._draw_round()
-        self.pending = None
-        return [self._batch(f) for f in fs]
+        return [self._batch(k, f, naive) for k, (f, naive) in enumerate(self.cases)]
 
-    def _batch(self, f) -> Batch:
-        nvars = len(f.free_vars) + len(f.bound_vars)
-        small = [i for i, n in enumerate(self.orders)
-                 if 2 <= n and n ** nvars <= self.NAIVE_MAX]
-        naive = self.sample_rng.choice(small)
+    def _batch(self, k, f, naive) -> Batch:
         nfree = len(f.free_vars)
 
         def check(outs):
@@ -104,10 +108,14 @@ class EvalOracle:
                 if out is FAILED:
                     continue
                 order, basis, sols, mf = out
+                key = (order, basis, sols.shape, hash(sols.tobytes()))
+                if self.verified.get((k, i)) == key:
+                    continue
                 sols = sols.tolist()
                 checks.check_eval(order, basis, sols, M.moduli, nfree)
                 if i == naive:
                     checks.check_oracle_naive(mf.C, mf.D, M.moduli, sols)
+                self.verified[(k, i)] = key
 
         return Batch([functools.partial(self._op, f, M) for M in self.groups], check)
 
@@ -278,22 +286,26 @@ def _raise_time_limit(signum, frame):
 class CliTour:
     """One operation is one ``python -m pptor.cli --json ...`` process, timed
     from launch to exit with a per-command time limit.  A round is one pass
-    over the command list: the README tour, seeded heavier commands whose
-    answers have closed forms, and SLOW_PURE.  ``inproc`` runs the same list
-    through ``cli.main`` in this process instead (used by the traced run)."""
+    over the command list: the README tour, heavier commands whose answers
+    have closed forms, and SLOW_PURE, in batches of BATCH commands.  The
+    heavier commands are the same for every seed, drawn from COMMAND_SEED;
+    the seed orders the list.  ``inproc`` runs the same list through
+    ``cli.main`` in this process instead (used by the traced run)."""
 
     name = "cli-tour"
-    HEAVY_EACH = 15  # chain, ulm and eval commands per pass
-    LIMIT_S = 3.0
-    MIN_SUCCESSES = 110  # so that op_p90_ms has ten samples beyond it
+    HEAVY_EACH = 5  # chain, ulm and eval commands per pass
+    COMMAND_SEED = "cli-tour commands"
+    LIMIT_S = 2.0
+    MIN_ROUNDS = 3  # every command's best time is a best of three or more
+    BATCH = 7  # commands per batch: outputs are checked after each batch
 
     def __init__(self, seed: int, small: bool, root: Path, inproc: bool = False):
-        rng = random.Random(seed)
+        draw = random.Random(self.COMMAND_SEED)
         n = 1 if small else self.HEAVY_EACH
-        self.specs = (README_TOUR + [_chain_spec(rng) for _ in range(n)]
-                      + [_ulm_spec(rng) for _ in range(n)]
-                      + [_double_spec(rng) for _ in range(n)] + [SLOW_PURE])
-        rng.shuffle(self.specs)
+        self.specs = (README_TOUR + [_chain_spec(draw) for _ in range(n)]
+                      + [_ulm_spec(draw) for _ in range(n)]
+                      + [_double_spec(draw) for _ in range(n)] + [SLOW_PURE])
+        random.Random(seed).shuffle(self.specs)
         self.limit = 1.0 if small else self.LIMIT_S
         self.root = root
         self.inproc = inproc
@@ -302,8 +314,7 @@ class CliTour:
             from pptor import cli
 
             self.cli = cli
-        per_pass = len(self.specs) - 1
-        self.min_rounds = -(-self.MIN_SUCCESSES // per_pass)
+        self.min_rounds = self.MIN_ROUNDS
 
     def command(self, argv) -> list[str]:
         return [sys.executable, "-m", "pptor.cli", "--json", *argv]
@@ -336,11 +347,13 @@ class CliTour:
 
     def round(self) -> list[Batch]:
         run = self.run_inproc if self.inproc else self.run_process
-        return [Batch([functools.partial(run, s["argv"]) for s in self.specs],
-                      self._check)]
+        return [Batch([functools.partial(run, s["argv"]) for s in specs],
+                      functools.partial(self._check, specs))
+                for specs in (self.specs[i:i + self.BATCH]
+                              for i in range(0, len(self.specs), self.BATCH))]
 
-    def _check(self, outs):
-        for spec, out in zip(self.specs, outs):
+    def _check(self, specs, outs):
+        for spec, out in zip(specs, outs):
             if out is not FAILED:
                 self.checker.check(spec, out)
 
