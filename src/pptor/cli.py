@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import inf
 
 from . import cardinals as C
 from . import chains, invariants, ppsolve, purity, verify
@@ -56,10 +57,18 @@ def _group_desc(G: FgGroup) -> dict:
 
 
 def _subgroup_desc(S: Subgroup) -> dict:
+    order = S.order()
     return {"ambient": _group_desc(S.ambient),
             "generators": [list(r) for r in S.basis],
-            "order": S.order(),
+            "order": None if order == inf else order,
             "group": _group_desc(S.as_group())}
+
+
+def _generator_lines(S: Subgroup) -> list[str]:
+    """Text lines for the basis rows of S, leaving out relation rows (rows
+    that are the zero element of the ambient group)."""
+    return [f"generator: {', '.join(map(str, r))}" for r in S.basis
+            if not S.ambient.element(r).is_zero()]
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +97,7 @@ def cmd_eval(args):
     lines = [f"φ[M] ≤ M^{len(f.free_vars)}",
              f"order: {S.order()}",
              f"isomorphism type: {_type_str(S.as_group())}"]
-    lines += [f"generator: {', '.join(map(str, r))}" for r in S.basis]
-    return result, None, lines
+    return result, None, lines + _generator_lines(S)
 
 
 def cmd_pure(args):
@@ -112,8 +120,7 @@ def cmd_torsion(args):
     T = purity.torsion_radical(M)
     result = {"group": _group_desc(M), "torsion": _subgroup_desc(T)}
     lines = [f"t(M) has order {T.order()}, type {_type_str(T.as_group())}"]
-    lines += [f"generator: {', '.join(map(str, r))}" for r in T.basis]
-    return result, None, lines
+    return result, None, lines + _generator_lines(T)
 
 
 def cmd_complement(args):
@@ -125,8 +132,7 @@ def cmd_complement(args):
     result = {"group": _group_desc(M), "subgroup": _subgroup_desc(H),
               "complement": _subgroup_desc(K)}
     lines = [f"complement of order {K.order()}, type {_type_str(K.as_group())}"]
-    lines += [f"generator: {', '.join(map(str, r))}" for r in K.basis]
-    return result, None, lines
+    return result, None, lines + _generator_lines(K)
 
 
 def cmd_chain(args):

@@ -28,14 +28,27 @@ class GroupError(ValueError):
     pass
 
 
-def _prime_factors(n: int) -> dict[int, int]:
+# Trial division tries divisors up to this bound, so every n < 10^12 factors
+# completely; a larger cofactor with no divisor up to the bound cannot be
+# certified prime and is refused rather than searched.
+TRIAL_DIVISION_LIMIT = 10**6
+
+
+def factorize(n: int) -> dict[int, int]:
+    """{p: v_p(n)} for n ≥ 1, primes ascending; GroupError past the limit."""
+    if n < 1:
+        raise GroupError(f"cannot factor {n}")
     out = {}
     d = 2
     while d * d <= n:
+        if d > TRIAL_DIVISION_LIMIT:
+            raise GroupError(
+                f"cannot factor {n}: it has no prime factor up to the trial "
+                f"division limit {TRIAL_DIVISION_LIMIT}")
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-        d += 1
+        d += 1 if d == 2 else 2
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
@@ -319,16 +332,15 @@ class Subgroup:
         rel = []
         for row in self.ambient.relation_basis:
             coeffs = lattice_coords(L, row)
-            assert coeffs is not None
+            if coeffs is None:
+                raise GroupError("relation row outside the subgroup lattice")
             rel.append(coeffs)
         grp, proj = _group_from_lattice(len(L), hermite_row_basis(rel))
-        # proj maps ℤ^{|L|} coords onto grp coords; invert on generators:
-        # generator i of grp corresponds to the lattice vector with
-        # projection e_i.  Solve via the unimodular change of basis inside
-        # _group_from_lattice, which returns the embedding too.
-        emb_rows = _lattice_section(len(L), hermite_row_basis(rel), grp, proj)
-        embed = [[sum(er[i] * L[i][j] for i in range(len(L))) for j in range(g)]
-                 for er in emb_rows]
+        # generator i of grp is the lattice vector with projection e_keep[i],
+        # i.e. row keep[i] of V^{-1}
+        Vi = proj["Vi"]
+        embed = [[sum(Vi[k][i] * L[i][j] for i in range(len(L))) for j in range(g)]
+                 for k in proj["keep"]]
         return grp, embed
 
     def as_group(self) -> FgGroup:
@@ -341,7 +353,7 @@ class Subgroup:
 
 
 def _group_from_lattice(ngens: int, lattice: list[list[int]]):
-    """(ℤ^ngens / lattice, projection matrix V).
+    """(ℤ^ngens / lattice, projection data with V and its inverse Vi).
 
     Coordinates of x in the quotient are (x·V)_i mod s_i restricted to the
     kept columns; returned group has one coordinate per kept column.
@@ -349,14 +361,15 @@ def _group_from_lattice(ngens: int, lattice: list[list[int]]):
     if not lattice:
         grp = FgGroup((0,) * ngens)
         V = [[1 if i == j else 0 for j in range(ngens)] for i in range(ngens)]
-        return grp, {"V": V, "moduli": [0] * ngens, "keep": list(range(ngens))}
-    _, S, V = smith_normal_form(lattice)
+        return grp, {"V": V, "Vi": V, "moduli": [0] * ngens,
+                     "keep": list(range(ngens))}
+    _, S, V, _, Vi = smith_normal_form(lattice, inverses=True)
     k = len(lattice)
     diag = [S[i][i] for i in range(min(k, ngens))]
     moduli = [diag[i] if i < len(diag) else 0 for i in range(ngens)]
     keep = [i for i, m in enumerate(moduli) if m != 1]
     grp = FgGroup(tuple(moduli[i] for i in keep))
-    return grp, {"V": V, "moduli": moduli, "keep": keep}
+    return grp, {"V": V, "Vi": Vi, "moduli": moduli, "keep": keep}
 
 
 def _project_coords(proj, x):
@@ -365,27 +378,6 @@ def _project_coords(proj, x):
     a = [sum(x[r] * V[r][i] for r in range(n)) for i in range(n)]
     return [a[i] % proj["moduli"][i] if proj["moduli"][i] else a[i]
             for i in proj["keep"]]
-
-
-def _lattice_section(ngens: int, lattice, grp: FgGroup, proj):
-    """Rows: for each quotient generator e_i, a ℤ^ngens vector mapping to it."""
-    V = proj["V"]
-    # x = a·V^{-1}; generator i of the quotient is a = e_{keep[i]},
-    # so the section row is row keep[i] of V^{-1}.
-    _, _, _, _, Vi = _inverse_via_snf(V)
-    return [Vi[i] for i in proj["keep"]]
-
-
-def _inverse_via_snf(V):
-    # V is unimodular; invert exactly
-    U, S, W, Ui, Wi = smith_normal_form([list(r) for r in V], inverses=True)
-    # V = Ui S Wi with S = I (up to signs ±1 impossible: SNF diag of unimodular
-    # is all ones), so V^{-1} = W S^{-1} U = W U
-    n = len(V)
-    assert all(S[i][i] == 1 for i in range(n))
-    inv = [[sum(W[i][t] * U[t][j] for t in range(n)) for j in range(n)]
-           for i in range(n)]
-    return U, S, W, Ui, inv
 
 
 def group_from_presentation(rel, ngens: int) -> FgGroup:
@@ -580,7 +572,7 @@ def abelian_groups_of_order(n: int) -> list[FgGroup]:
     """All abelian groups of order n, one per isomorphism class."""
     if n < 1:
         raise GroupError("order must be positive")
-    factors = _prime_factors(n)
+    factors = factorize(n)
     per_prime = []
     for p, e in sorted(factors.items()):
         per_prime.append([tuple(p ** a for a in part) for part in _partitions(e)])

@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import cardinals as C
-from .groups import FgGroup, GroupError, Subgroup, direct_sum
-from .ppsolve import _primes_of, _v_p
+from .groups import FgGroup, GroupError, Subgroup, direct_sum, factorize
 
 
 @dataclass(frozen=True)
@@ -50,11 +49,9 @@ def ulm_invariants(G: FgGroup) -> UlmInvariants:
     """α_{p,n} by the formula dim_{F_p}((p^{n−1}G)[p]/(p^nG)[p]); γ = 0."""
     if not G.is_finite:
         raise GroupError("Ulm invariants are computed for finite groups")
-    exp = G.exponent()
     alpha: dict = {}
     full = G.full_subgroup()
-    for p in _primes_of(exp):
-        K = _v_p(exp, p)
+    for p, K in factorize(G.exponent()).items():
         socle = Subgroup(G, G.annihilator_lattice(p))
         for n in range(1, K + 1):
             upper = _scaled(G, full, p ** (n - 1)).intersection(socle)
@@ -62,7 +59,9 @@ def ulm_invariants(G: FgGroup) -> UlmInvariants:
             idx = lower.index_in(upper)
             a = 0
             while idx > 1:
-                assert idx % p == 0
+                if idx % p:
+                    raise GroupError(
+                        f"index {idx} of socle layers is not a power of {p}")
                 idx //= p
                 a += 1
             if a:

@@ -1,11 +1,18 @@
 """Purity, torsion radical, primary components, complements, and the
 bounded-order membership criterion for t(PE(B)).
 
-Purity of H ≤ M is decided by the classical criterion n·M ∩ H = n·H; for
-finitely generated groups it is enough to range n over the divisors of the
+H ≤ M is pure when n·M ∩ H = n·H for every n ≥ 1.  That holds for n iff it
+holds for each prime power p^k exactly dividing n (Fuchs, Abelian Groups,
+2015, ch. 5), so the least failing n is a prime power and only the prime
+powers p^k > 1 dividing e need testing, in ascending order.  For finite M,
+e = exp(M), which exp(M/H) divides; with a free part, e is the lcm of the
 torsion exponents of M and M/H (beyond those, both sides stop changing on
-torsion and agree on free parts).  A splitting-based decision (existence of
-a retraction M → H) is kept as an independent cross-check.
+torsion and agree on free parts).
+
+Complements are decided by splitting instead: a finitely generated H ≤ M is
+a direct summand iff a retraction M → H exists, and for finite M that holds
+iff H is pure.  So the lattice criterion and the Diophantine retraction
+search are two independent decisions of the same property.
 """
 
 from __future__ import annotations
@@ -17,56 +24,61 @@ from .groups import (
     FgGroup,
     GroupError,
     Subgroup,
+    factorize,
     quotient,
 )
 from .intlinalg import hermite_row_basis, kernel_basis
 
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
-def _scaled_lattice(n: int, basis, rank: int):
+def _scaled_lattice(n: int, basis):
     return [[n * v for v in row] for row in basis]
 
 
 def _torsion_exponent(M: FgGroup) -> int:
-    inv = [d for d in M.invariant_factors]
+    inv = M.invariant_factors
     return inv[-1] if inv else 1
 
 
-def is_pure(H: Subgroup, M: FgGroup) -> bool:
-    """n·M ∩ H = n·H for the relevant n (pure ⟺ pp-preserving)."""
+def _first_failure(H: Subgroup, M: FgGroup):
+    """(n, n·M ∩ H, n·H) for the least n where the two differ, or None."""
     if H.ambient != M:
         raise GroupError("subgroup of a different group")
-    e = lcm(_torsion_exponent(M), _torsion_exponent(quotient(M, H)))
+    if M.is_finite:
+        e = M.exponent()
+    else:
+        e = lcm(_torsion_exponent(M), _torsion_exponent(quotient(M, H)))
     full = M.full_subgroup()
-    for n in _divisors(e):
-        if n == 1:
-            continue
-        nM = Subgroup(M, _scaled_lattice(n, full.basis, M.rank))
-        nH = Subgroup(M, _scaled_lattice(n, H.basis, M.rank))
-        if nM.intersection(H) != nH:
-            return False
-    return True
+    prime_powers = sorted(p ** k for p, v in factorize(e).items()
+                          for k in range(1, v + 1))
+    for n in prime_powers:
+        nM = Subgroup(M, _scaled_lattice(n, full.basis))
+        nH = Subgroup(M, _scaled_lattice(n, H.basis))
+        meet = nM.intersection(H)
+        if meet != nH:
+            return n, meet, nH
+    return None
+
+
+def is_pure(H: Subgroup, M: FgGroup) -> bool:
+    """n·M ∩ H = n·H for every n (pure ⟺ pp-preserving)."""
+    return _first_failure(H, M) is None
 
 
 def purity_witness(H: Subgroup, M: FgGroup):
-    """(n, element) with element ∈ n·M ∩ H but ∉ n·H, or None if pure."""
-    e = lcm(_torsion_exponent(M), _torsion_exponent(quotient(M, H)))
-    full = M.full_subgroup()
-    for n in _divisors(e):
-        if n == 1:
-            continue
-        nM = Subgroup(M, _scaled_lattice(n, full.basis, M.rank))
-        nH = Subgroup(M, _scaled_lattice(n, H.basis, M.rank))
-        meet = nM.intersection(H)
-        if meet != nH:
-            for a in meet.elements():
-                if not nH.contains(a):
-                    return n, a
-    return None
+    """(n, element) with element ∈ n·M ∩ H but ∉ n·H for the least such n,
+    which is a prime power; None if H is pure.
+
+    The element is the last generator of n·M ∩ H, in its abstract Smith
+    form, that lies outside n·H: the first such element in the coordinate
+    order of that form, found without enumerating.  One exists because the
+    generators span n·M ∩ H, which contains n·H and differs from it.
+    """
+    failure = _first_failure(H, M)
+    if failure is None:
+        return None
+    n, meet, nH = failure
+    gens = map(M.element, meet.as_group_with_embedding()[1])
+    return n, [a for a in gens if not nH.contains(a)][-1]
 
 
 def is_pure_via_splitting(H: Subgroup, M: FgGroup) -> bool:
@@ -90,20 +102,9 @@ def torsion_radical(M: FgGroup) -> Subgroup:
     return Subgroup(M, M.torsion_lattice())
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def primary_component(M: FgGroup, p: int) -> Subgroup:
     """The p-primary part of a torsion group M."""
-    if not _is_prime(p):
+    if p < 2 or factorize(p) != {p: 1}:
         raise GroupError(f"{p} is not prime")
     if any(m == 0 for m in M.moduli):
         raise GroupError("primary components require a torsion group")
@@ -118,23 +119,24 @@ def primary_component(M: FgGroup, p: int) -> Subgroup:
 
 
 def complement(H: Subgroup, M: FgGroup):
-    """K with H ⊕ K = M, or None.
+    """K with H ⊕ K = M, or None when H is not a direct summand.
 
-    For finite torsion M a complement exists iff H is pure (Lemma mod
-    (1)⇔(5) at finite scale); construction: kernel of a retraction M → H.
+    Existence is decided by splitting alone: K is the kernel of a retraction
+    M → H, found by solving the Diophantine system of find_constrained_hom,
+    and None means no retraction exists.  For finite M that happens exactly
+    when H is not pure (Lemma mod (1)⇔(5) at finite scale), which is_pure
+    decides independently by the lattice criterion.
     """
     if H.ambient != M:
         raise GroupError("subgroup of a different group")
     if not M.is_finite:
         raise GroupError("complement search requires a finite group")
-    if not is_pure(H, M):
-        return None
     r = _retraction(H, M)
-    assert r is not None, "pure subgroup of a finite group must split"
+    if r is None:
+        return None
     K = _hom_kernel(r)
-    # sanity: direct-sum certificate
-    assert H.sum(K) == M.full_subgroup()
-    assert H.intersection(K).order() == 1
+    if H.sum(K) != M.full_subgroup() or H.intersection(K).order() != 1:
+        raise GroupError("retraction kernel is not a direct complement")
     return K
 
 

@@ -1,8 +1,15 @@
 import json
+import time
+from pathlib import Path
 
+import jsonschema
 import pytest
 
+import pptor
 from pptor.cli import main
+
+SCHEMA = json.loads(
+    (Path(pptor.__file__).parent / "schemas" / "cli-result-1.json").read_text())
 
 
 def run(capsys, *argv):
@@ -11,9 +18,19 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def run_json(capsys, *argv):
+    """Run one --json command; the document must be strict JSON matching the
+    shipped schema, its result the schema's shape for that command."""
     code, out, _ = run(capsys, "--json", *argv)
-    return code, json.loads(out)
+    doc = json.loads(out, parse_constant=_reject_constant)
+    shape = {"$ref": "#/$defs/" + doc["command"].replace(" ", "-")}
+    schema = dict(SCHEMA, properties=dict(SCHEMA["properties"], result=shape))
+    jsonschema.Draft202012Validator(schema).validate(doc)
+    return code, doc
 
 
 def test_low_false(capsys):
@@ -39,6 +56,15 @@ def test_eval(capsys):
     code, doc = run_json(capsys, "eval", "2*x = 0 & E y. x = 4*y", "Z/8 + Z/2")
     assert code == 0
     assert doc["result"]["subgroup"]["order"] == 2
+    # the basis also holds the relation row (0, 2); JSON keeps it
+    assert doc["result"]["subgroup"]["generators"] == [[4, 0], [0, 2]]
+
+
+def test_eval_text_skips_relation_rows(capsys):
+    code, out, _ = run(capsys, "eval", "2*x = 0 & E y. x = 4*y", "Z/8 + Z/2")
+    assert code == 0
+    assert out.splitlines() == ["φ[M] ≤ M^1", "order: 2",
+                                "isomorphism type: Z/2", "generator: 4, 0"]
 
 
 def test_pure_and_witness(capsys):
@@ -48,6 +74,37 @@ def test_pure_and_witness(capsys):
     assert doc["trace"]["witness"]["n"] == 2
     code, doc = run_json(capsys, "pure", "0,1", "Z/8 + Z/2")
     assert doc["result"]["pure"] is True
+
+
+def test_pure_with_free_part(capsys):
+    code, doc = run_json(capsys, "pure", "2", "Z")
+    assert code == 0
+    assert doc["result"]["pure"] is False
+    assert doc["result"]["subgroup"]["order"] is None
+    assert doc["trace"]["witness"] == {"n": 2, "element": [2]}
+    code, out, _ = run(capsys, "pure", "2,0", "Z + Z/4")
+    assert code == 0
+    assert out.splitlines() == ["false", "witness: [2, 0] ∈ 2M ∩ H but ∉ 2H"]
+
+
+def test_large_prime_exponent_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "pure", "1", "Z/1000000007")
+    assert code == 0 and out.strip() == "true"
+    code, doc = run_json(capsys, "complement", "1", "Z/1000000007")
+    assert code == 0 and doc["result"]["complement"]["order"] == 1
+    code, out, _ = run(capsys, "complement", "1", "Z/1000000007")
+    assert code == 0 and out.splitlines() == ["complement of order 1, type 0"]
+    assert time.perf_counter() - start < 5
+
+
+def test_factorization_limit_is_a_domain_error(capsys):
+    # 1000003 · 1000033: no prime factor up to the trial division limit
+    start = time.perf_counter()
+    for argv in (("pure", "1", "Z/1000036000099"), ("ulm", "Z/1000036000099")):
+        code, doc = run_json(capsys, *argv)
+        assert code == 1 and "trial division limit 1000000" in doc["error"]
+    assert time.perf_counter() - start < 5
 
 
 def test_torsion(capsys):
@@ -79,6 +136,13 @@ def test_types(capsys):
     assert code == 0 and out.strip() == "5"
     code, out, _ = run(capsys, "types", "0", "--bound", "2")
     assert out.strip() == "2"
+    code, doc = run_json(capsys, "types", "0", "--bound", "4", "--oracle")
+    assert code == 0 and doc["result"]["count"] == 5
+
+
+def test_types_bound_limit(capsys):
+    code, doc = run_json(capsys, "types", "0", "--bound", "33")
+    assert code == 1 and "limit 32" in doc["error"]
 
 
 def test_ulm(capsys):
@@ -123,6 +187,8 @@ def test_verify_single_suite(capsys):
 def test_domain_error_exit_1(capsys):
     code, out, err = run(capsys, "eval", "bad ((", "Z/2")
     assert code == 1 and "error" in err
+    code, doc = run_json(capsys, "eval", "bad ((", "Z/2")
+    assert code == 1 and "result" not in doc
 
 
 def test_usage_error_exit_2(capsys):

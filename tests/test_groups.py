@@ -4,6 +4,7 @@ import pytest
 
 from pptor import corpus
 from pptor.groups import (
+    TRIAL_DIVISION_LIMIT,
     FgGroup,
     GroupError,
     Homomorphism,
@@ -12,6 +13,7 @@ from pptor.groups import (
     abelian_groups_upto,
     all_subgroups,
     direct_sum,
+    factorize,
     is_isomorphic,
     parse_group,
     quotient,
@@ -91,6 +93,15 @@ def test_as_group_with_embedding():
     gen_images = [M.element(r) for r in emb]
     T = Subgroup.from_generators(M, gen_images)
     assert T == S
+    rng = random.Random(12)
+    for _ in range(100):
+        M = corpus.random_group(rng)
+        S = corpus.random_subgroup(rng, M)
+        G, emb = S.as_group_with_embedding()
+        # Homomorphism checks that each generator's order divides its modulus
+        assert Homomorphism(G, M, emb).image() == S
+        if M.is_finite:
+            assert G.order() == S.order()
 
 
 def test_subgroup_elements_match_order():
@@ -132,3 +143,21 @@ def test_homomorphism_image():
     h = Homomorphism(M, N, [[2], [4]])
     assert h(M.element([1, 1])).coords == (6,)
     assert h.image().order() == 4
+
+
+def test_factorize():
+    for n in range(1, 2000):
+        f = factorize(n)
+        assert list(f) == sorted(f)
+        prod = 1
+        for p, v in f.items():
+            assert v >= 1 and all(p % d for d in range(2, p))
+            prod *= p ** v
+        assert prod == n
+    assert factorize(1000000007) == {1000000007: 1}
+    assert factorize(2 ** 40 * 999983) == {2: 40, 999983: 1}
+    big = 1000003 * 1000033  # both prime, beyond the trial division limit
+    with pytest.raises(GroupError, match=str(TRIAL_DIVISION_LIMIT)):
+        factorize(big)
+    with pytest.raises(GroupError):
+        factorize(0)

@@ -126,3 +126,14 @@ def test_count_types_oracle_agreement():
             ppsolve.count_types(zero, bound, use_oracle=True)
     M = FgGroup((2,))
     assert ppsolve.count_types(M, 4) == ppsolve.count_types(M, 4, use_oracle=True)
+
+
+def test_count_types_bound_limit():
+    with pytest.raises(ppsolve.PpSolveError, match=str(ppsolve.MAX_TYPES_BOUND)):
+        ppsolve.count_types(FgGroup(()), ppsolve.MAX_TYPES_BOUND + 1)
+
+
+def test_count_types_oracle_disagreement_raises(monkeypatch):
+    monkeypatch.setattr(ppsolve, "_oracle_equal_emb", lambda *args: False)
+    with pytest.raises(ppsolve.PpSolveError, match="disagree"):
+        ppsolve.count_types(FgGroup(()), 4, use_oracle=True)

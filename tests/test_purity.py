@@ -17,6 +17,16 @@ def test_socle_of_z4_not_pure():
     assert not purity.is_pure(H, M)
     n, a = purity.purity_witness(H, M)
     assert n == 2 and a.coords == (2,)
+    # the witness is the first element outside 2H in the coordinate order
+    # of 2M ∩ H's abstract form, not its first Hermite row (2, 0)
+    M = FgGroup((4, 3))
+    H = Subgroup.from_generators(M, [M.element([2, 0]), M.element([0, 1])])
+    n, a = purity.purity_witness(H, M)
+    assert n == 2 and a.coords == (2, 1)
+    M = FgGroup((4, 4))
+    H = Subgroup.from_generators(M, [M.element([2, 0]), M.element([0, 2])])
+    n, a = purity.purity_witness(H, M)
+    assert n == 2 and a.coords == (0, 2)
 
 
 def test_direct_summand_is_pure():
@@ -30,6 +40,30 @@ def test_2z_in_z_not_pure():
     M = FgGroup((0,))
     H = Subgroup.from_generators(M, [M.element([2])])
     assert not purity.is_pure(H, M)
+    n, a = purity.purity_witness(H, M)
+    assert n == 2 and a.coords == (2,)
+
+
+def _scaled(M, n, S):
+    return Subgroup(M, [[n * v for v in row] for row in S.basis])
+
+
+def test_pure_iff_splitting_random_with_free_parts():
+    rng = random.Random(33)
+    infinite = 0
+    for _ in range(300):
+        M = corpus.random_group(rng)
+        H = corpus.random_subgroup(rng, M)
+        infinite += not M.is_finite
+        pure = purity.is_pure(H, M)
+        assert pure == purity.is_pure_via_splitting(H, M)
+        w = purity.purity_witness(H, M)
+        assert (w is None) == pure
+        if w is not None:
+            n, a = w
+            assert H.contains(a) and _scaled(M, n, M.full_subgroup()).contains(a)
+            assert not _scaled(M, n, H).contains(a)
+    assert infinite >= 50
 
 
 def test_pure_iff_splitting_exhaustive_small():
