@@ -70,11 +70,20 @@ def witness_formula(p: int, n: int) -> PpFormula:
     return PpFormula(("x",), ("y",), (eq1, eq2))
 
 
+# B has rank M0·k, and evaluating the chain on it costs HNF work that grows
+# steeply with the rank: rank 64 answers in a few seconds (`chain --witness
+# 2 64 1 --indices` in 6–7 s), rank 360 runs for longer than 20 s.
+MAX_WITNESS_RANK = 64
+
+
 def witness_chain(p: int, M0: int, k: int) -> tuple[FormulaChain, FgGroup]:
     """The Theorem-ss witness chain and its truncated group
     B = ⊕_{m≤M0} (ℤ/p^m)^k."""
     if M0 < 1 or k < 1:
         raise ValueError("M0 and k must be at least 1")
+    if M0 * k > MAX_WITNESS_RANK:
+        raise ValueError(
+            f"rank M0·k = {M0 * k} of B exceeds the limit {MAX_WITNESS_RANK}")
     B = direct_sum(*[FgGroup((p ** m,) * k) for m in range(1, M0 + 1)])
     return FormulaChain(lambda n: witness_formula(p, n)), B
 

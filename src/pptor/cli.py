@@ -262,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("group")
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--oracle", action="store_true",
-                   help="use the homomorphism oracle instead of descriptors")
+                   help="also confirm every descriptor match with the "
+                        "homomorphism oracle (an error if they disagree)")
     p.set_defaults(fn=cmd_types)
 
     p = sub.add_parser("ulm", help="Ulm invariants α_{p,n} and rank γ")

@@ -88,10 +88,6 @@ class MatrixForm:
     C: tuple[tuple[int, ...], ...]
     D: tuple[tuple[int, ...], ...]
 
-    @property
-    def num_equations(self) -> int:
-        return len(self.C)
-
 
 # ---------------------------------------------------------------------------
 # parsing

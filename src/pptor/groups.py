@@ -234,10 +234,6 @@ class Element:
         return "(" + ", ".join(map(str, self.coords)) + ")"
 
 
-def order_of(a: Element):
-    return a.order()
-
-
 class Subgroup:
     """A subgroup of an FgGroup, canonically a row lattice R ⊆ L ⊆ ℤ^g."""
 
@@ -378,15 +374,6 @@ def _project_coords(proj, x):
     a = [sum(x[r] * V[r][i] for r in range(n)) for i in range(n)]
     return [a[i] % proj["moduli"][i] if proj["moduli"][i] else a[i]
             for i in proj["keep"]]
-
-
-def group_from_presentation(rel, ngens: int) -> FgGroup:
-    """ℤ^ngens modulo the lattice spanned by the rows of rel."""
-    rows = [list(map(int, r)) for r in rel]
-    for r in rows:
-        if len(r) != ngens:
-            raise GroupError("relation row has wrong length")
-    return _group_from_lattice(ngens, hermite_row_basis(rows))[0]
 
 
 def quotient(M: FgGroup, H: Subgroup) -> FgGroup:

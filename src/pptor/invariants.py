@@ -107,20 +107,6 @@ class Prufer:
 
 
 @dataclass(frozen=True)
-class PAdic:
-    p: object
-
-    def render(self) -> str:
-        return f"pAdic({self.p})"
-
-
-@dataclass(frozen=True)
-class Rationals:
-    def render(self) -> str:
-        return "Q"
-
-
-@dataclass(frozen=True)
 class DirectPower:
     body: object
     card: object  # cardinals.CardinalExpr

@@ -4,33 +4,15 @@ Independent oracle for ppsolve.evaluate: enumerates every assignment of the
 bound variables to group elements, records the reachable values of D·ȳ, and
 then tests each free assignment directly.  No Smith-normal-form shortcuts.
 
-Hot path is a numba @njit kernel when numba is installed (the optional
-``numba`` extra); otherwise, or when the PPTOR_NO_NUMBA environment variable
-is set (any non-empty value), a pure-numpy path runs.  The numpy path builds
-the reachable set one bound variable at a time, R ← R + {D[:, b]·g : g ∈ M},
-removing duplicates after each step, so it enumerates at most |R|·|M| sums
-per step instead of all |M|^nbound assignments at once.  Both paths produce
-identical output.
+The reachable set is built one bound variable at a time,
+R ← R + {D[:, b]·g : g ∈ M}, removing duplicates after each step, so it
+enumerates at most |R|·|M| sums per step instead of all |M|^nbound
+assignments at once.  Everything runs in numpy.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_USE_NUMBA = not os.environ.get("PPTOR_NO_NUMBA")
-if _USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        _USE_NUMBA = False
-
-if not _USE_NUMBA:
-    def njit(*args, **kwargs):  # noqa: D103 - no-op decorator stand-in
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
 
 
 # table sizes are |M|^eqs and |M|^nvars; keep them in int64/memory range
@@ -72,55 +54,6 @@ def _encode_values(vals: np.ndarray, moduli: np.ndarray) -> np.ndarray:
             code = code + vals[..., e, c] * stride
             stride *= int(moduli[c])
     return code
-
-
-@njit(cache=True)
-def _reachable_codes_nb(D, moduli, strides, elem, n_elem, table):
-    nbound = D.shape[1]
-    neq = D.shape[0]
-    rank = moduli.shape[0]
-    total = 1
-    for _ in range(nbound):
-        total *= n_elem
-    for yi in range(total):
-        rem = yi
-        code = 0
-        # accumulate D·ȳ one bound variable at a time
-        vals = np.zeros((neq, rank), dtype=np.int64)
-        for b in range(nbound):
-            ei = rem % n_elem
-            rem //= n_elem
-            for e in range(neq):
-                for c in range(rank):
-                    vals[e, c] = (vals[e, c] + D[e, b] * elem[ei, c]) % moduli[c]
-        for e in range(neq):
-            for c in range(rank):
-                code += vals[e, c] * strides[e * rank + c]
-        table[code] = True
-
-
-@njit(cache=True)
-def _free_codes_nb(C, moduli, strides, elem, n_elem, table, out):
-    nfree = C.shape[1]
-    neq = C.shape[0]
-    rank = moduli.shape[0]
-    total = 1
-    for _ in range(nfree):
-        total *= n_elem
-    for xi in range(total):
-        rem = xi
-        vals = np.zeros((neq, rank), dtype=np.int64)
-        for f in range(nfree):
-            ei = rem % n_elem
-            rem //= n_elem
-            for e in range(neq):
-                for c in range(rank):
-                    vals[e, c] = (vals[e, c] - C[e, f] * elem[ei, c]) % moduli[c]
-        code = 0
-        for e in range(neq):
-            for c in range(rank):
-                code += vals[e, c] * strides[e * rank + c]
-        out[xi] = table[code]
 
 
 def _assignment_values(coeffs, elem, nvars, moduli):
@@ -228,16 +161,10 @@ def brute_force_codes(C, D, moduli):
             s *= int(moduli_np[c])
     table = np.zeros(order ** neq, dtype=np.bool_)
 
-    if _USE_NUMBA:
-        _reachable_codes_nb(D_red, moduli_np, strides, elem, order, table)
-        out = np.zeros(order ** nfree, dtype=np.bool_)
-        _free_codes_nb(C_red, moduli_np, strides, elem, order, table, out)
-        sols = np.nonzero(out)[0]
-    else:
-        _mark_reachable(D_red, elem, moduli_np, strides, table)
-        target = _assignment_values(C_red, elem, nfree, moduli_np) \
-            if nfree else np.zeros(1, dtype=np.int64)
-        sols = np.nonzero(table[target])[0]
+    _mark_reachable(D_red, elem, moduli_np, strides, table)
+    target = _assignment_values(C_red, elem, nfree, moduli_np) \
+        if nfree else np.zeros(1, dtype=np.int64)
+    sols = np.nonzero(table[target])[0]
     return sols, elem, nfree, order
 
 
@@ -253,4 +180,6 @@ def _decode_assignments(sols, elem, nfree, order):
 
 
 def using_numba() -> bool:
-    return _USE_NUMBA
+    """Always False: the oracle has only the numpy path.  Kept because
+    perfbench/worker.py records it in its environment block."""
+    return False

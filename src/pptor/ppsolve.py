@@ -14,6 +14,7 @@ their agreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .formulas import PpFormula, normalize
 from .groups import (
@@ -37,18 +38,12 @@ class PpSolveError(ValueError):
 # ---------------------------------------------------------------------------
 # evaluation
 
-_coord_cache: dict = {}
-
-
+@lru_cache(maxsize=4096)
 def _coordinate_lattice(C, D, m: int):
     """HNF basis (in ℤ^nfree) of the solutions of C·x + D·y ≡ 0 mod m.
 
     m = 0 means the coordinate is a copy of ℤ.
     """
-    key = (C, D, m)
-    hit = _coord_cache.get(key)
-    if hit is not None:
-        return hit
     neq = len(C)
     nfree = len(C[0]) if neq else 0
     nbound = len(D[0]) if neq else 0
@@ -67,9 +62,7 @@ def _coordinate_lattice(C, D, m: int):
             proj += [[m if j == i else 0 for j in range(nfree)]
                      for i in range(nfree)]
         rows = hermite_row_basis(proj)
-    rows = tuple(tuple(r) for r in rows)
-    _coord_cache[key] = rows
-    return rows
+    return tuple(tuple(r) for r in rows)
 
 
 def power_group(M: FgGroup, n: int) -> FgGroup:
@@ -207,25 +200,33 @@ def _product(lists):
 
 @dataclass(frozen=True)
 class PpTypeDescriptor:
-    """Satisfied canonical conditions of a over M inside N.
+    """Canonical table of the conditions a − m ∈ p^k N + N[p^l] that a
+    satisfies over M inside N.
 
-    A condition (p, k, l, m) asserts a − m ∈ p^k N + N[p^l]; that family
-    generates every pp-definable subgroup of a finite abelian group (the
-    lattice generated by the two chains p^k N and N[p^l]), so the table
-    pins the pp-type.  k, l run up to K_p = v_p(exp N); m over the
-    parameter group in its abstract coordinates.
+    That family generates every pp-definable subgroup of a finite abelian
+    group (the lattice generated by the two chains p^k N and N[p^l]), so the
+    table pins the pp-type.  T(k, l) is the set of parameters m (abstract
+    coordinates of the parameter group) meeting the condition; beyond
+    K_p = v_p(exp N) the table repeats its K_p row and column.  Each prime
+    keeps T only up to its least clamp K, the least K with
+    T(k, l) = T(min(k, K), min(l, K)) for all k, l, and primes with K = 0
+    (every entry full) are dropped.  So `==` and `hash` are pp-type
+    equality over the same parameter group, whatever the exponents of the
+    ambients.
     """
 
     m_moduli: tuple[int, ...]
-    kp: tuple[tuple[int, int], ...]  # (p, K_p) pairs, ascending p
-    satisfied: frozenset  # (p, k, l, m_abstract_coords)
+    # (p, T) per kept prime, ascending p; T[k][l] for 0 ≤ k, l ≤ K
+    tables: tuple[tuple[int, tuple[tuple[frozenset, ...], ...]], ...]
 
-    def lookup(self, p: int, k: int, l: int, m_coords) -> bool:
-        kp = dict(self.kp)
-        K = kp.get(p, 0)
-        if min(k, K) == 0:
-            return True  # p^0·N + N[p^l] = N contains everything
-        return (p, min(k, K), min(l, K), tuple(m_coords)) in self.satisfied
+
+def _trimmed(T):
+    """T cut to its least clamp K (square, K + 1 rows)."""
+    n = len(T)
+    for K in range(n):
+        if all(T[k][l] == T[min(k, K)][min(l, K)]
+               for k in range(n) for l in range(n)):
+            return tuple(row[:K + 1] for row in T[:K + 1])
 
 
 def _mixed_sum_lattice(N: FgGroup, p: int, k: int, l: int):
@@ -259,45 +260,36 @@ def pp_type_descriptor(a: Element, M: Subgroup, N: FgGroup,
         Mg, emb = M.as_group_with_embedding()
     else:
         Mg, emb = identification
-    kp = tuple(factorize(N.exponent()).items())
-    params = []
+    diffs = []  # (m in abstract coordinates, ambient coordinates of a − m)
     for x in Mg.elements():
         amb = N.element(
             [sum(c * emb[i][j] for i, c in enumerate(x.coords))
              for j in range(N.rank)]
         )
-        params.append((x.coords, amb))
-    sat = set()
+        diffs.append((x.coords, list((a - amb).coords)))
     from .intlinalg import in_lattice
 
-    for p, K in kp:
+    tables = []
+    for p, K in factorize(N.exponent()).items():
+        T = []
         for k in range(K + 1):
+            row = []
             for l in range(K + 1):
                 lat = _mixed_sum_lattice(N, p, k, l)
-                for mc, amb in params:
-                    d = a - amb
-                    if in_lattice(lat, list(d.coords)):
-                        sat.add((p, k, l, mc))
-    return PpTypeDescriptor(Mg.moduli, kp, frozenset(sat))
+                row.append(frozenset(mc for mc, d in diffs if in_lattice(lat, d)))
+            T.append(tuple(row))
+        T = _trimmed(T)
+        if len(T) > 1:
+            tables.append((p, T))
+    return PpTypeDescriptor(Mg.moduli, tuple(tables))
 
 
 def pp_type_equal(d1: PpTypeDescriptor, d2: PpTypeDescriptor) -> bool:
-    """Clamped comparison: conditions beyond K_p repeat the K_p value."""
+    """Whether two descriptors over the same parameter group give the same
+    pp-type; descriptors are canonical, so this is value equality."""
     if d1.m_moduli != d2.m_moduli:
         raise PpSolveError("descriptors over different parameter groups")
-    primes = sorted({p for p, _ in d1.kp} | {p for p, _ in d2.kp})
-    kp1, kp2 = dict(d1.kp), dict(d2.kp)
-    from itertools import product as iproduct
-
-    m_space = list(iproduct(*(range(max(m, 1)) for m in d1.m_moduli)))
-    for p in primes:
-        K = max(kp1.get(p, 0), kp2.get(p, 0))
-        for k in range(K + 1):
-            for l in range(K + 1):
-                for mc in m_space:
-                    if d1.lookup(p, k, l, mc) != d2.lookup(p, k, l, mc):
-                        return False
-    return True
+    return d1 == d2
 
 
 def hom_oracle_equal(a1: Element, M1: Subgroup, N1: FgGroup,
@@ -313,15 +305,14 @@ def hom_oracle_equal(a1: Element, M1: Subgroup, N1: FgGroup,
     M2g, emb2 = M2.as_group_with_embedding()
     if M1g.moduli != M2g.moduli:
         raise PpSolveError("parameter groups are not identified")
+    return _oracle_equal_emb(a1, emb1, N1, a2, emb2, N2)
 
-    def amb(N, emb, coords):
-        return N.element(
-            [sum(c * emb[i][j] for i, c in enumerate(coords))
-             for j in range(N.rank)]
-        )
 
-    cons12 = [(amb(N1, emb1, g.coords), amb(N2, emb2, g.coords))
-              for g in M1g.generators()]
+def _oracle_equal_emb(a1, emb1, N1, a2, emb2, N2) -> bool:
+    """The oracle with the parameter group identified: row i of emb1 and of
+    emb2 are the ambient coordinates of the same parameter generator."""
+    cons12 = [(N1.element(r1), N2.element(r2))
+              for r1, r2 in zip(emb1, emb2)]
     cons12.append((a1, a2))
     cons21 = [(b, a) for a, b in cons12]
     return (find_constrained_hom(N1, N2, cons12) is not None
@@ -386,7 +377,7 @@ def count_types(M: FgGroup, bound: int, use_oracle: bool = False) -> int:
             f"of the enumerated extensions")
     if bound < M.order():
         raise PpSolveError("bound must be at least |M|")
-    reps = []  # (descriptor, (a, emb, N)) representatives
+    reps = {}  # descriptor → (a, emb, N), the first triple of its class
     for N in abelian_groups_upto(bound):
         for S, emb in _pure_embeddings(M, N):
             if not is_isomorphic(S.as_group(), M):
@@ -394,25 +385,12 @@ def count_types(M: FgGroup, bound: int, use_oracle: bool = False) -> int:
             for a in N.elements():
                 d = pp_type_descriptor(a, S, N, check_purity=False,
                                        identification=(M, emb))
-                hit = False
-                for dr, (ar, embr, Nr) in reps:
-                    if pp_type_equal(d, dr):
-                        if use_oracle and not _oracle_equal_emb(
-                                a, emb, N, ar, embr, Nr, M):
-                            raise PpSolveError(
-                                f"descriptor and hom oracle disagree on "
-                                f"{a} in {N} against {ar} in {Nr}")
-                        hit = True
-                        break
-                if not hit:
-                    reps.append((d, (a, emb, N)))
+                rep = reps.get(d)
+                if rep is None:
+                    reps[d] = (a, emb, N)
+                elif use_oracle and not _oracle_equal_emb(a, emb, N, *rep):
+                    ar, _, Nr = rep
+                    raise PpSolveError(
+                        f"descriptor and hom oracle disagree on "
+                        f"{a} in {N} against {ar} in {Nr}")
     return len(reps)
-
-
-def _oracle_equal_emb(a1, emb1, N1, a2, emb2, N2, Mref: FgGroup) -> bool:
-    cons12 = [(N1.element(r1), N2.element(r2))
-              for r1, r2 in zip(emb1, emb2)]
-    cons12.append((a1, a2))
-    cons21 = [(b, a) for a, b in cons12]
-    return (find_constrained_hom(N1, N2, cons12) is not None
-            and find_constrained_hom(N2, N1, cons21) is not None)

@@ -181,26 +181,18 @@ def check_pp_type_oracle():
     triples = member_checks = rep_pairs = 0
     for key, recs in sorted(records.items()):
         triples += len(recs)
-        classes = []
+        classes = defaultdict(list)
         for d, a, S, N in recs:
-            placed = False
-            for cls in classes:
-                if ppsolve.pp_type_equal(d, cls[0][0]):
-                    cls.append((d, a, S, N))
-                    placed = True
-                    break
-            if not placed:
-                classes.append([(d, a, S, N)])
-        for cls in classes:
-            d0, a0, S0, N0 = cls[0]
-            for d, a, S, N in cls[1:]:
+            classes[d].append((a, S, N))
+        for (a0, S0, N0), *members in classes.values():
+            for a, S, N in members:
                 member_checks += 1
                 if not ppsolve.hom_oracle_equal(a, S, N, a0, S0, N0):
                     return False, f"descriptor merged oracle-distinct types in {N0}"
-        for c1, c2 in combinations(classes, 2):
+        reps = [cls[0] for cls in classes.values()]
+        for r1, r2 in combinations(reps, 2):
             rep_pairs += 1
-            if ppsolve.hom_oracle_equal(c1[0][1], c1[0][2], c1[0][3],
-                                        c2[0][1], c2[0][2], c2[0][3]):
+            if ppsolve.hom_oracle_equal(*r1, *r2):
                 return False, "descriptor split an oracle-equal type"
     return True, (f"{triples} triples, {member_checks} member checks, "
                   f"{rep_pairs} representative pairs")

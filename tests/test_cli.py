@@ -131,6 +131,13 @@ def test_chain(capsys):
     assert doc["result"]["indices"] == [2, 2, 2, 1]
 
 
+def test_chain_rank_limit(capsys):
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "chain", "--witness", "2", "60", "6")
+    assert code == 1 and "limit 64" in doc["error"]
+    assert time.perf_counter() - start < 5
+
+
 def test_types(capsys):
     code, out, _ = run(capsys, "types", "0", "--bound", "4")
     assert code == 0 and out.strip() == "5"

@@ -1,7 +1,5 @@
 import itertools
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -114,37 +112,3 @@ def test_table_size_guard():
     with pytest.raises(EnumerationLimit):
         brute_force_solutions([[1, 1]], [[1, 1]],
                               (2,) * 30)
-
-
-def _corpus_digest():
-    code = """
-import hashlib, random
-from pptor import corpus
-from pptor.formulas import normalize
-from pptor.kernels import brute_force_solutions, using_numba
-rng = random.Random(9)
-h = hashlib.sha256()
-for _ in range(60):
-    f = corpus.random_formula(rng)
-    M = corpus.random_group(rng, moduli_pool=(2, 3, 4), free_ok=False)
-    m = normalize(f)
-    h.update(repr(brute_force_solutions(m.C, m.D, M.moduli)).encode())
-print(using_numba(), h.hexdigest())
-"""
-    return code
-
-
-def test_numba_and_numpy_paths_agree():
-    pytest.importorskip("numba")
-    import os
-    digests = {}
-    for no_numba in (False, True):
-        env = dict(os.environ)
-        env.pop("PPTOR_NO_NUMBA", None)
-        if no_numba:
-            env["PPTOR_NO_NUMBA"] = "1"
-        out = subprocess.run([sys.executable, "-c", _corpus_digest()],
-                             capture_output=True, text=True, env=env, check=True)
-        used, digests[no_numba] = out.stdout.split()
-        assert used == ("False" if no_numba else "True")
-    assert digests[False] == digests[True]

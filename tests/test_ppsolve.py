@@ -105,6 +105,18 @@ def test_descriptor_equals_oracle_small():
                 ppsolve.hom_oracle_equal(a1, S1, N1, a2, S2, N2)
 
 
+def test_descriptor_is_canonical_across_exponents():
+    N1, N2 = FgGroup((2,)), FgGroup((2, 4))
+    a1, a2, b = N1.element([1]), N2.element([1, 0]), N2.element([0, 2])
+    d1 = ppsolve.pp_type_descriptor(a1, N1.zero_subgroup(), N1)
+    d2 = ppsolve.pp_type_descriptor(a2, N2.zero_subgroup(), N2)
+    db = ppsolve.pp_type_descriptor(b, N2.zero_subgroup(), N2)
+    assert d1 == d2 and hash(d1) == hash(d2)
+    assert ppsolve.hom_oracle_equal(a1, N1.zero_subgroup(), N1,
+                                    a2, N2.zero_subgroup(), N2)
+    assert db != d1 and db != d2
+
+
 def test_descriptor_rejects_impure_base():
     N = FgGroup((4,))
     S = Subgroup.from_generators(N, [N.element([2])])
@@ -117,6 +129,9 @@ def test_count_types_frozen_values():
     assert ppsolve.count_types(zero, 1) == 1
     assert ppsolve.count_types(zero, 2) == 2
     assert ppsolve.count_types(zero, 4) == 5
+    assert ppsolve.count_types(zero, 16) == 25
+    assert ppsolve.count_types(FgGroup((2,)), 16) == 18
+    assert ppsolve.count_types(FgGroup((4,)), 16) == 13
 
 
 def test_count_types_oracle_agreement():
@@ -126,6 +141,7 @@ def test_count_types_oracle_agreement():
             ppsolve.count_types(zero, bound, use_oracle=True)
     M = FgGroup((2,))
     assert ppsolve.count_types(M, 4) == ppsolve.count_types(M, 4, use_oracle=True)
+    assert ppsolve.count_types(FgGroup((4,)), 16, use_oracle=True) == 13
 
 
 def test_count_types_bound_limit():
