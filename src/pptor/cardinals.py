@@ -119,7 +119,7 @@ def beth_of(e):
     if isinstance(e, Power):
         j = beth_of(e.exp)
         if j is not None and j != OMEGA:
-            base_ok = _finite_ge(e.base, 2) and True
+            base_ok = _finite_ge(e.base, 2)
             if not base_ok:
                 # κ^ℶ_j = ℶ_{j+1} also when 2 ≤ κ ≤ ℶ_{j+1}, e.g. κ = ℶ_i, i ≤ j+1
                 bi = beth_of(e.base)
@@ -150,8 +150,6 @@ def prove_le(a, b, depth: int = 0):
     if isinstance(a, Aleph) and ib is not None and _index_le(a.i, ib):
         return "aleph below beth"  # ℵ_i ≤ ℶ_i
     if ia == 0 and is_infinite(b):
-        return "aleph0 least infinite"
-    if isinstance(a, Aleph) and a.i == 0 and is_infinite(b):
         return "aleph0 least infinite"
     if isinstance(a, Aleph) and isinstance(a.i, int) and a.i >= 1:
         if prove_lt(Aleph(a.i - 1), b, depth + 1):

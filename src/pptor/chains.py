@@ -12,10 +12,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .formulas import Equation, PpFormula, is_low
-from .groups import Element, FgGroup, Subgroup, direct_sum
+from .groups import MAX_RANK, Element, FgGroup, Subgroup, direct_sum
 from .ppsolve import evaluate
-
-NOT_FOUND = None
 
 
 @dataclass
@@ -35,28 +33,16 @@ class FormulaChain:
         return self.template(n)
 
 
-@dataclass
-class ChainEvaluation:
-    levels: list[Subgroup]
-    descending: bool
-    first_ascent: int | None  # least n with φ_n[M] ⊉ φ_{n+1}[M]
-
-
-def evaluate_chain(c: FormulaChain, M: FgGroup, n_max: int) -> ChainEvaluation:
-    levels = [evaluate(c(n), M) for n in range(n_max + 1)]
-    first_ascent = None
-    for n in range(n_max):
-        if not (levels[n + 1] <= levels[n]):
-            first_ascent = n
-            break
-    return ChainEvaluation(levels, first_ascent is None, first_ascent)
+def evaluate_chain(c: FormulaChain, M: FgGroup, n_max: int) -> list[Subgroup]:
+    """The levels φ_0[M], …, φ_{n_max}[M]."""
+    return [evaluate(c(n), M) for n in range(n_max + 1)]
 
 
 def stabilization_index(c: FormulaChain, M: FgGroup, n_max: int):
-    """Least n₀ with φ_{n₀}[M] = … = φ_{n_max}[M], or NOT_FOUND (None)."""
-    levels = evaluate_chain(c, M, n_max).levels
+    """Least n₀ with φ_{n₀}[M] = … = φ_{n_max}[M], or None."""
+    levels = evaluate_chain(c, M, n_max)
     if n_max >= 1 and levels[n_max - 1] != levels[n_max]:
-        return NOT_FOUND  # still moving at the end of the range
+        return None  # still moving at the end of the range
     n0 = n_max
     while n0 > 0 and levels[n0 - 1] == levels[n_max]:
         n0 -= 1
@@ -70,20 +56,16 @@ def witness_formula(p: int, n: int) -> PpFormula:
     return PpFormula(("x",), ("y",), (eq1, eq2))
 
 
-# B has rank M0·k, and evaluating the chain on it costs HNF work that grows
-# steeply with the rank: rank 64 answers in a few seconds (`chain --witness
-# 2 64 1 --indices` in 6–7 s), rank 360 runs for longer than 20 s.
-MAX_WITNESS_RANK = 64
-
-
 def witness_chain(p: int, M0: int, k: int) -> tuple[FormulaChain, FgGroup]:
     """The Theorem-ss witness chain and its truncated group
     B = ⊕_{m≤M0} (ℤ/p^m)^k."""
     if M0 < 1 or k < 1:
         raise ValueError("M0 and k must be at least 1")
-    if M0 * k > MAX_WITNESS_RANK:
+    # B has rank M0·k; at rank 64 `chain --witness 2 64 1 --indices` takes
+    # 6–7 s, at rank 360 longer than 20 s
+    if M0 * k > MAX_RANK:
         raise ValueError(
-            f"rank M0·k = {M0 * k} of B exceeds the limit {MAX_WITNESS_RANK}")
+            f"rank M0·k = {M0 * k} of B exceeds the limit {MAX_RANK}")
     B = direct_sum(*[FgGroup((p ** m,) * k) for m in range(1, M0 + 1)])
     return FormulaChain(lambda n: witness_formula(p, n)), B
 

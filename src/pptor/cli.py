@@ -141,8 +141,7 @@ def cmd_chain(args):
         raise CliError("need p >= 2, M0 >= 1, k >= 1")
     chain, B = chains.witness_chain(p, M0, k)
     n_max = M0 + 1
-    ev = chains.evaluate_chain(chain, B, n_max)
-    orders = [S.order() for S in ev.levels]
+    orders = [S.order() for S in chains.evaluate_chain(chain, B, n_max)]
     stab = chains.stabilization_index(chain, B, n_max)
     result = {"p": p, "M0": M0, "k": k, "group": _group_desc(B),
               "formula": print_formula(chain(0)),

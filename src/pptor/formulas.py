@@ -16,9 +16,8 @@ Free variables are exactly the identifiers not bound by "E".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
-from .intlinalg import kernel_basis, solve_diophantine
+from .intlinalg import congruence_lattice, solve_diophantine
 
 # a linear combination is a tuple of (coefficient, variable-or-None) terms;
 # variable None marks an integer constant
@@ -311,19 +310,14 @@ def solution_group_over_z(f: PpFormula) -> int:
     """d ≥ 0 with ψ[ℤ] = dℤ, for a one-free-variable formula.
 
     The solutions (a, ȳ) of C·a + D·ȳ = 0 form a lattice; its projection
-    onto the free coordinate is a subgroup of ℤ, computed as the gcd of the
-    free coordinates of a kernel basis.
+    onto the free coordinate is the subgroup dℤ of ℤ.
     """
     if len(f.free_vars) != 1:
         raise FormulaError("lowness is defined for exactly one free variable")
     mf = normalize(f)
-    A = [list(crow) + list(drow) for crow, drow in zip(mf.C, mf.D)]
-    if not A:
-        return 1  # no equations: every integer satisfies the formula
-    d = 0
-    for vec in kernel_basis(A):
-        d = gcd(d, vec[0])
-    return d
+    A = [c + d for c, d in zip(mf.C, mf.D)]
+    lattice = congruence_lattice(A, [0] * len(A), 1)
+    return lattice[0][0] if lattice else 0
 
 
 def is_low(f: PpFormula) -> bool:

@@ -14,11 +14,13 @@ from math import gcd, inf, lcm
 
 from .intlinalg import (
     hermite_row_basis,
+    identity_matrix,
     in_lattice,
     lattice_coords,
     lattice_index,
     lattice_intersection,
     lattice_sum,
+    mat_mul,
     smith_normal_form,
     snf_diagonal,
 )
@@ -32,6 +34,12 @@ class GroupError(ValueError):
 # completely; a larger cofactor with no divisor up to the bound cannot be
 # certified prime and is refused rather than searched.
 TRIAL_DIVISION_LIMIT = 10**6
+
+# Largest rank (number of cyclic coordinates) of a group the parser builds
+# and evaluate works in.  HNF and Smith form cost grows steeply with the
+# rank: at rank 64 `ulm "(Z/1000000)^64"` takes about 2 s, while
+# `complement 0 "(Z/2)^300"` runs for longer than 20 s.
+MAX_RANK = 64
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -260,13 +268,12 @@ class Subgroup:
     def contains(self, a: Element) -> bool:
         if a.group != self.ambient:
             raise GroupError("element not in the ambient group")
-        return in_lattice(list(map(list, self.basis)), list(a.coords))
+        return in_lattice(self.basis, a.coords)
 
     def __le__(self, other: "Subgroup") -> bool:
         if self.ambient != other.ambient:
             raise GroupError("subgroups of different groups")
-        ob = list(map(list, other.basis))
-        return all(in_lattice(ob, list(r)) for r in self.basis)
+        return all(in_lattice(other.basis, r) for r in self.basis)
 
     def __eq__(self, other):
         return (isinstance(other, Subgroup) and self.ambient == other.ambient
@@ -277,8 +284,7 @@ class Subgroup:
 
     def order(self):
         """|L/R|, i.e. the number of elements, or inf."""
-        idx = lattice_index(list(map(list, self.basis)),
-                            self.ambient.relation_basis)
+        idx = lattice_index(self.basis, self.ambient.relation_basis)
         return inf if idx is None else idx
 
     def sum(self, other: "Subgroup") -> "Subgroup":
@@ -291,9 +297,8 @@ class Subgroup:
     def intersection(self, other: "Subgroup") -> "Subgroup":
         if self.ambient != other.ambient:
             raise GroupError("subgroups of different groups")
-        rows = lattice_intersection(list(map(list, self.basis)),
-                                    list(map(list, other.basis)))
-        return Subgroup(self.ambient, rows)
+        return Subgroup(self.ambient,
+                        lattice_intersection(self.basis, other.basis))
 
     def add_element(self, a: Element) -> "Subgroup":
         return Subgroup(self.ambient, list(self.basis) + [list(a.coords)])
@@ -302,8 +307,7 @@ class Subgroup:
         """[other : self]; self ⊆ other required."""
         if not self <= other:
             raise GroupError("not a sub-subgroup")
-        idx = lattice_index(list(map(list, other.basis)),
-                            list(map(list, self.basis)))
+        idx = lattice_index(other.basis, self.basis)
         return inf if idx is None else idx
 
     def elements(self):
@@ -321,8 +325,7 @@ class Subgroup:
         H = L/R; relative to the basis rows of L, R has coordinate lattice
         given by lattice_coords of each R-basis row.
         """
-        L = list(map(list, self.basis))
-        g = self.ambient.rank
+        L = self.basis
         if not L:
             return FgGroup(()), []
         rel = []
@@ -331,13 +334,8 @@ class Subgroup:
             if coeffs is None:
                 raise GroupError("relation row outside the subgroup lattice")
             rel.append(coeffs)
-        grp, proj = _group_from_lattice(len(L), hermite_row_basis(rel))
-        # generator i of grp is the lattice vector with projection e_keep[i],
-        # i.e. row keep[i] of V^{-1}
-        Vi = proj["Vi"]
-        embed = [[sum(Vi[k][i] * L[i][j] for i in range(len(L))) for j in range(g)]
-                 for k in proj["keep"]]
-        return grp, embed
+        grp, gens = _group_from_lattice(len(L), hermite_row_basis(rel))
+        return grp, mat_mul(gens, L)
 
     def as_group(self) -> FgGroup:
         return self.as_group_with_embedding()[0]
@@ -348,48 +346,25 @@ class Subgroup:
     __repr__ = __str__
 
 
-def _group_from_lattice(ngens: int, lattice: list[list[int]]):
-    """(ℤ^ngens / lattice, projection data with V and its inverse Vi).
+def _group_from_lattice(ngens: int, lattice):
+    """(ℤ^ngens / lattice, rows of ℤ^ngens that map to its generators).
 
-    Coordinates of x in the quotient are (x·V)_i mod s_i restricted to the
-    kept columns; returned group has one coordinate per kept column.
+    With U·lattice·V = S in Smith form, the quotient has one coordinate of
+    modulus s_i per diagonal entry s_i ≠ 1 (0 past the rank of the lattice),
+    and its generator is row i of V⁻¹.
     """
     if not lattice:
-        grp = FgGroup((0,) * ngens)
-        V = [[1 if i == j else 0 for j in range(ngens)] for i in range(ngens)]
-        return grp, {"V": V, "Vi": V, "moduli": [0] * ngens,
-                     "keep": list(range(ngens))}
-    _, S, V, _, Vi = smith_normal_form(lattice, inverses=True)
-    k = len(lattice)
-    diag = [S[i][i] for i in range(min(k, ngens))]
-    moduli = [diag[i] if i < len(diag) else 0 for i in range(ngens)]
+        return FgGroup((0,) * ngens), identity_matrix(ngens)
+    _, S, _, Vi = smith_normal_form(lattice, inverses=True)
+    moduli = [S[i][i] if i < len(lattice) else 0 for i in range(ngens)]
     keep = [i for i, m in enumerate(moduli) if m != 1]
-    grp = FgGroup(tuple(moduli[i] for i in keep))
-    return grp, {"V": V, "Vi": Vi, "moduli": moduli, "keep": keep}
-
-
-def _project_coords(proj, x):
-    V = proj["V"]
-    n = len(V)
-    a = [sum(x[r] * V[r][i] for r in range(n)) for i in range(n)]
-    return [a[i] % proj["moduli"][i] if proj["moduli"][i] else a[i]
-            for i in proj["keep"]]
+    return FgGroup(tuple(moduli[i] for i in keep)), [Vi[i] for i in keep]
 
 
 def quotient(M: FgGroup, H: Subgroup) -> FgGroup:
-    return quotient_with_projection(M, H)[0]
-
-
-def quotient_with_projection(M: FgGroup, H: Subgroup):
-    """(M/H, map sending an Element of M to its image Element of M/H)."""
     if H.ambient != M:
         raise GroupError("subgroup of a different group")
-    grp, proj = _group_from_lattice(M.rank, list(map(list, H.basis)))
-
-    def project(a: Element) -> Element:
-        return grp.element(_project_coords(proj, list(a.coords)))
-
-    return grp, project
+    return _group_from_lattice(M.rank, H.basis)[0]
 
 
 def is_isomorphic(M: FgGroup, N: FgGroup) -> bool:
@@ -449,8 +424,13 @@ class Homomorphism:
 # group DSL: Z, Z/n, +, ^, parentheses
 
 
+def _check_rank(rank: int) -> None:
+    if rank > MAX_RANK:
+        raise GroupError(f"group rank {rank} exceeds the limit {MAX_RANK}")
+
+
 def parse_group(text: str) -> FgGroup:
-    """Parse e.g. '(Z/4)^3 + Z/2 + Z^2' into an FgGroup."""
+    """Parse e.g. '(Z/4)^3 + Z/2 + Z^2' into an FgGroup of rank ≤ MAX_RANK."""
     tokens = _tokenize_group(text)
     pos = [0]
 
@@ -469,6 +449,7 @@ def parse_group(text: str) -> FgGroup:
         while peek()[0] == "+":
             take()
             parts.append(parse_power())
+        _check_rank(sum(G.rank for G in parts))
         return direct_sum(*parts)
 
     def parse_power():
@@ -478,7 +459,8 @@ def parse_group(text: str) -> FgGroup:
             n = take("int")[1]
             if n < 0:
                 raise GroupError("negative power in group expression")
-            return direct_sum(*([base] * n))
+            _check_rank(base.rank * n)
+            return direct_sum(*([base] * n)) if base.rank else base
         return base
 
     def parse_base():

@@ -57,36 +57,26 @@ def smith_normal_form(A: Matrix, inverses: bool = False):
     """Return (U, S, V) with U*A*V = S, U and V unimodular, S diagonal and
     S[0][0] | S[1][1] | ... with nonnegative diagonal.
 
-    With inverses=True returns (U, S, V, Uinv, Vinv).
+    With inverses=True returns (U, S, V, Vinv).
     """
     m = len(A)
     n = len(A[0]) if m else 0
     S = [[int(x) for x in row] for row in A]
     U = identity_matrix(m)
     V = identity_matrix(n)
-    Ui = identity_matrix(m) if inverses else None
     Vi = identity_matrix(n) if inverses else None
 
     def row_add(i, j, q):  # row_i += q * row_j
         S[i] = [a + q * b for a, b in zip(S[i], S[j])]
         U[i] = [a + q * b for a, b in zip(U[i], U[j])]
-        if Ui is not None:
-            for r in range(m):
-                Ui[r][j] -= q * Ui[r][i]
 
     def row_swap(i, j):
         S[i], S[j] = S[j], S[i]
         U[i], U[j] = U[j], U[i]
-        if Ui is not None:
-            for r in range(m):
-                Ui[r][i], Ui[r][j] = Ui[r][j], Ui[r][i]
 
     def row_neg(i):
         S[i] = [-a for a in S[i]]
         U[i] = [-a for a in U[i]]
-        if Ui is not None:
-            for r in range(m):
-                Ui[r][i] = -Ui[r][i]
 
     def col_add(j, k, q):  # col_j += q * col_k
         for r in range(m):
@@ -155,7 +145,7 @@ def smith_normal_form(A: Matrix, inverses: bool = False):
             break
         t += 1
     if inverses:
-        return U, S, V, Ui, Vi
+        return U, S, V, Vi
     return U, S, V
 
 
@@ -234,17 +224,6 @@ def in_lattice(basis: list[list[int]], v) -> bool:
     return lattice_coords(basis, v) is not None
 
 
-def reduce_mod_lattice(basis: list[list[int]], v) -> list[int]:
-    """Canonical coset representative of v modulo the row lattice."""
-    v = list(map(int, v))
-    for row in basis:
-        j = _pivot_col(row)
-        q = v[j] // row[j]
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    return v
-
-
 def kernel_basis(A: Matrix) -> list[list[int]]:
     """Basis of the integer kernel {x : A x = 0}."""
     m = len(A)
@@ -279,6 +258,40 @@ def solve_diophantine(A: Matrix, b: list[int]) -> list[int] | None:
             if i < n:
                 y[i] = c[i] // s
     return mat_vec(V, y)
+
+
+def _with_slack(A: Matrix, moduli) -> Matrix:
+    """A with one slack column per nonzero modulus, in row order: row i of
+    A·x + (slack) = b then says A·x ≡ b modulo moduli[i]."""
+    nslack = sum(1 for m in moduli if m)
+    out = []
+    k = 0
+    for row, m in zip(A, moduli):
+        slack = [0] * nslack
+        if m:
+            slack[k] = m
+            k += 1
+        out.append(list(row) + slack)
+    return out
+
+
+def congruence_lattice(A: Matrix, moduli, keep: int) -> list[list[int]]:
+    """HNF basis of the first ``keep`` coordinates of the solutions x of
+    A·x ≡ 0, row i holding modulo moduli[i] (modulus 0: exactly).
+
+    A system with no rows is solved by every x."""
+    if not A:
+        return identity_matrix(keep)
+    return hermite_row_basis(
+        [vec[:keep] for vec in kernel_basis(_with_slack(A, moduli))])
+
+
+def solve_congruences(A: Matrix, b, moduli) -> list[int] | None:
+    """One x with A·x ≡ b, row i modulo moduli[i] (modulus 0: exactly), or
+    None; a system with no rows has the empty solution."""
+    n = len(A[0]) if A else 0
+    sol = solve_diophantine(_with_slack(A, moduli), b)
+    return None if sol is None else sol[:n]
 
 
 def lattice_sum(*bases) -> list[list[int]]:

@@ -73,7 +73,7 @@ def _assignment_values(coeffs, elem, nvars, moduli):
         coords = elem[ei]
         vals -= coeffs[:, v][None, :, None] * coords[:, None, :]
         vals %= np.asarray(moduli)[None, None, :]
-    return _encode_values(vals % np.asarray(moduli)[None, None, :], moduli)
+    return _encode_values(vals, moduli)
 
 
 def _mark_reachable(D, elem, moduli, strides, table):

@@ -1,8 +1,8 @@
 """pp-formula evaluation and pp-types over finitely generated abelian groups.
 
 evaluate solves C·x̄ + D·ȳ = 0 coordinate by coordinate: in ℤ/m the free
-solutions are the projection onto the x̄-block of the integer kernel of
-[C | D | m·I], a lattice cached per (C, D, m).
+solutions are the projection onto the x̄-block of the solutions of
+C·x̄ + D·ȳ ≡ 0 mod m, a lattice cached per (C, D, m).
 
 pp-types of elements over a parameter subgroup are decided two ways: a
 canonical descriptor (memberships a − m ∈ p^k N + N[p^l]) and an exact
@@ -13,11 +13,13 @@ their agreement.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .formulas import PpFormula, normalize
 from .groups import (
+    MAX_RANK,
     Element,
     FgGroup,
     GroupError,
@@ -26,9 +28,8 @@ from .groups import (
     abelian_groups_upto,
     direct_sum,
     factorize,
-    is_isomorphic,
 )
-from .intlinalg import hermite_row_basis, kernel_basis, lattice_sum, solve_diophantine
+from .intlinalg import congruence_lattice, in_lattice, lattice_sum, solve_congruences
 
 
 class PpSolveError(ValueError):
@@ -44,24 +45,8 @@ def _coordinate_lattice(C, D, m: int):
 
     m = 0 means the coordinate is a copy of ℤ.
     """
-    neq = len(C)
-    nfree = len(C[0]) if neq else 0
-    nbound = len(D[0]) if neq else 0
-    if neq == 0:
-        rows = [[1 if j == i else 0 for j in range(nfree)] for i in range(nfree)]
-    else:
-        A = [
-            list(C[e]) + list(D[e])
-            + [m if k == e else 0 for k in range(neq)]
-            for e in range(neq)
-        ]
-        if m == 0:
-            A = [row[: nfree + nbound] for row in A]
-        proj = [vec[:nfree] for vec in kernel_basis(A)]
-        if m != 0:
-            proj += [[m if j == i else 0 for j in range(nfree)]
-                     for i in range(nfree)]
-        rows = hermite_row_basis(proj)
+    nfree = len(C[0]) if C else 0
+    rows = congruence_lattice([c + d for c, d in zip(C, D)], [m] * len(C), nfree)
     return tuple(tuple(r) for r in rows)
 
 
@@ -70,9 +55,14 @@ def power_group(M: FgGroup, n: int) -> FgGroup:
 
 
 def evaluate(f: PpFormula, M: FgGroup) -> Subgroup:
-    """The solution set {ā ∈ M^n : M ⊨ f(ā)} as a Subgroup of M^n."""
-    mf = normalize(f)
+    """The solution set {ā ∈ M^n : M ⊨ f(ā)} as a Subgroup of M^n; M^n may
+    have rank at most MAX_RANK."""
     n = len(f.free_vars)
+    if n * M.rank > MAX_RANK:
+        raise PpSolveError(
+            f"rank {n}·{M.rank} = {n * M.rank} of M^{n} exceeds the limit "
+            f"{MAX_RANK}")
+    mf = normalize(f)
     P = power_group(M, n)
     rank = M.rank
     rows = []
@@ -100,11 +90,8 @@ def index(f: PpFormula, g: PpFormula, M: FgGroup):
         raise PpSolveError("formulas have different free arities")
     Sf = evaluate(f, M)
     Sg = evaluate(g, M)
-    fb = list(map(list, Sf.basis))
-    from .intlinalg import in_lattice
-
     for r in Sg.basis:
-        if not in_lattice(fb, list(r)):
+        if not in_lattice(Sf.basis, r):
             wit = Sf.ambient.element(r)
             raise InclusionFailure(tuple(wit.coords))
     return Sg.index_in(Sf)
@@ -118,45 +105,21 @@ def find_constrained_hom(source: FgGroup, target: FgGroup, constraints):
     """A Homomorphism source → target with f(a) = b for each (a, b) in
     constraints (elements, or coordinate sequences), or None.
 
-    Solved as one integer linear system in the matrix entries, with one
-    slack unknown per congruence modulo a target modulus.
+    Solved as one system of congruences in the matrix entries: row j of
+    f(v) = w holds modulo target modulus j, for v = d_i·e_i, w = 0 (so that
+    f is well defined) and for each constraint.
     """
     r1, r2 = source.rank, target.rank
-    nx = r1 * r2
-    rows_A: list[list[int]] = []
-    rhs: list[int] = []
-    slack_mods: list[int] = []  # modulus per congruence row (0 = exact)
-
-    def add_congruence(coeff_x: dict[int, int], t: int, value: int):
-        rows_A.append([coeff_x.get(i, 0) for i in range(nx)])
-        slack_mods.append(t)
-        rhs.append(value)
-
-    # compatibility: d_i · f(e_i) = 0
-    for i, d in enumerate(source.moduli):
-        if d == 0:
-            continue
-        for j, t in enumerate(target.moduli):
-            add_congruence({i * r2 + j: d}, t, 0)
-    # interpolation constraints
-    for a, b in constraints:
-        ac = a.coords if isinstance(a, Element) else tuple(a)
-        bc = b.coords if isinstance(b, Element) else tuple(b)
-        for j, t in enumerate(target.moduli):
-            add_congruence(
-                {i * r2 + j: ac[i] for i in range(r1)}, t, bc[j]
-            )
-
-    nslack = sum(1 for t in slack_mods if t)
-    A = []
-    si = 0
-    for row, t in zip(rows_A, slack_mods):
-        srow = [0] * nslack
-        if t:
-            srow[si] = t
-            si += 1
-        A.append(row + srow)
-    sol = solve_diophantine(A, rhs)
+    pairs = [([d if k == i else 0 for k in range(r1)], [0] * r2)
+             for i, d in enumerate(source.moduli) if d]
+    pairs += [(a.coords if isinstance(a, Element) else tuple(a),
+               b.coords if isinstance(b, Element) else tuple(b))
+              for a, b in constraints]
+    # unknown i·r2 + k is entry k of f(e_i)
+    A = [[v[i] if k == j else 0 for i in range(r1) for k in range(r2)]
+         for v, _ in pairs for j in range(r2)]
+    rhs = [w[j] for _, w in pairs for j in range(r2)]
+    sol = solve_congruences(A, rhs, list(target.moduli) * len(pairs))
     if sol is None:
         return None
     matrix = [[sol[i * r2 + j] for j in range(r2)] for i in range(r1)]
@@ -181,17 +144,8 @@ def enumerate_homs(source: FgGroup, target: FgGroup):
                 seen.add(e.coords)
                 opts.append(list(e.coords))
         cand.append(sorted(opts))
-    for combo in _product(cand):
+    for combo in itertools.product(*cand):
         yield Homomorphism(source, target, combo)
-
-
-def _product(lists):
-    if not lists:
-        yield []
-        return
-    for head in lists[0]:
-        for tail in _product(lists[1:]):
-            yield [head] + tail
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +183,14 @@ def _trimmed(T):
             return tuple(row[:K + 1] for row in T[:K + 1])
 
 
+@lru_cache(maxsize=4096)
 def _mixed_sum_lattice(N: FgGroup, p: int, k: int, l: int):
     """HNF coordinate lattice of p^k N + N[p^l]."""
     g = N.rank
     pk = p ** k
     pkN = [[pk if j == i else 0 for j in range(g)] for i in range(g)]
-    return lattice_sum(pkN, N.annihilator_lattice(p ** l), N.relation_basis)
+    rows = lattice_sum(pkN, N.annihilator_lattice(p ** l), N.relation_basis)
+    return tuple(tuple(r) for r in rows)
 
 
 def pp_type_descriptor(a: Element, M: Subgroup, N: FgGroup,
@@ -267,7 +223,6 @@ def pp_type_descriptor(a: Element, M: Subgroup, N: FgGroup,
              for j in range(N.rank)]
         )
         diffs.append((x.coords, list((a - amb).coords)))
-    from .intlinalg import in_lattice
 
     tables = []
     for p, K in factorize(N.exponent()).items():
@@ -324,36 +279,14 @@ def _oracle_equal_emb(a1, emb1, N1, a2, emb2, N2) -> bool:
 
 
 def _pure_embeddings(M: FgGroup, N: FgGroup):
-    """All pure embeddings M → N as (Subgroup, emb) with emb a row of
+    """All pure embeddings M → N as (image Subgroup, emb) with emb a row of
     ambient coordinates per coordinate of M."""
     from .purity import is_pure
 
-    if M.order() == 1:
-        yield N.zero_subgroup(), [[0] * N.rank for _ in range(M.rank)]
-        return
-    cand = []
-    for d in M.moduli:
-        H = Subgroup(N, N.annihilator_lattice(d))
-        cand.append(sorted(set(e.coords for e in H.elements())))
-    for combo in _product(cand):
-        images = [N.element(c) for c in combo]
-        if not _is_injective(M, N, images):
-            continue
-        S = Subgroup.from_generators(N, images)
-        if is_pure(S, N):
-            yield S, [list(im.coords) for im in images]
-
-
-def _is_injective(M, N, images):
-    seen = set()
-    for x in M.elements():
-        img = N.zero()
-        for c, im in zip(x.coords, images):
-            img = img + c * im
-        if img.coords in seen:
-            return False
-        seen.add(img.coords)
-    return True
+    for h in enumerate_homs(M, N):
+        S = h.image()
+        if S.order() == M.order() and is_pure(S, N):
+            yield S, h.matrix
 
 
 # count_types enumerates every group of order ≤ bound, every pure embedding
@@ -380,8 +313,6 @@ def count_types(M: FgGroup, bound: int, use_oracle: bool = False) -> int:
     reps = {}  # descriptor → (a, emb, N), the first triple of its class
     for N in abelian_groups_upto(bound):
         for S, emb in _pure_embeddings(M, N):
-            if not is_isomorphic(S.as_group(), M):
-                continue
             for a in N.elements():
                 d = pp_type_descriptor(a, S, N, check_purity=False,
                                        identification=(M, emb))

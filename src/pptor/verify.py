@@ -145,8 +145,8 @@ def check_witness_chain():
                 chain, B = chains.witness_chain(p, M0, k)
                 if not chain.low_head:
                     return False, f"φ₀ not low at (p={p})"
-                ev = chains.evaluate_chain(chain, B, M0 + 1)
-                orders = [s.order() for s in ev.levels]
+                levels = chains.evaluate_chain(chain, B, M0 + 1)
+                orders = [s.order() for s in levels]
                 want = [p ** (k * (M0 - n)) for n in range(M0 + 1)] + [1]
                 if orders != want:
                     return False, f"orders {orders} ≠ {want} at {(p, M0, k)}"

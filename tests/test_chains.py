@@ -22,10 +22,10 @@ def test_witness_chain_group():
 
 def test_chain_descent_and_stabilization():
     chain, B = chains.witness_chain(2, 3, 1)
-    ev = chains.evaluate_chain(chain, B, 4)
-    orders = [S.order() for S in ev.levels]
+    levels = chains.evaluate_chain(chain, B, 4)
+    orders = [S.order() for S in levels]
     assert orders == [8, 4, 2, 1, 1]
-    for a, b in zip(ev.levels, ev.levels[1:]):
+    for a, b in zip(levels, levels[1:]):
         assert b <= a
     assert chains.stabilization_index(chain, B, 4) == 3
 
@@ -58,5 +58,5 @@ def test_generic_formula_chain():
         if n else parse("3*x = 0")
     chain = chains.FormulaChain(template)
     B = FgGroup((27,))
-    ev = chains.evaluate_chain(chain, B, 3)
-    assert [S.order() for S in ev.levels] == [3, 3, 3, 1]
+    levels = chains.evaluate_chain(chain, B, 3)
+    assert [S.order() for S in levels] == [3, 3, 3, 1]

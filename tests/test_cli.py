@@ -138,6 +138,18 @@ def test_chain_rank_limit(capsys):
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("argv", [("complement", "0", "(Z/2)^65"),
+                                  ("eval", "x1 = x2", "(Z/2)^33"),
+                                  ("ulm", "(Z/2)^1000000000000")])
+def test_rank_limit(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and "limit 64" in err
+    code, doc = run_json(capsys, *argv)
+    assert code == 1 and "limit 64" in doc["error"]
+    assert time.perf_counter() - start < 5
+
+
 def test_types(capsys):
     code, out, _ = run(capsys, "types", "0", "--bound", "4")
     assert code == 0 and out.strip() == "5"

@@ -4,6 +4,7 @@ import pytest
 
 from pptor import corpus
 from pptor.groups import (
+    MAX_RANK,
     TRIAL_DIVISION_LIMIT,
     FgGroup,
     GroupError,
@@ -17,7 +18,6 @@ from pptor.groups import (
     is_isomorphic,
     parse_group,
     quotient,
-    quotient_with_projection,
 )
 
 
@@ -35,6 +35,11 @@ def test_parse_group_dsl():
     assert parse_group("0").moduli == ()
     with pytest.raises(GroupError):
         parse_group("Z/")
+    assert parse_group("(Z/2)^40 + Z^24").rank == MAX_RANK == 64
+    assert parse_group("0^1000000000000").moduli == ()
+    for text in ("(Z/2)^40 + Z^25", "(Z/2 + Z)^33", "(Z/2)^1000000000000"):
+        with pytest.raises(GroupError, match="limit 64"):
+            parse_group(text)
 
 
 def test_element_arithmetic():
@@ -73,16 +78,6 @@ def test_lagrange_and_quotient():
         H = corpus.random_subgroup(rng, M)
         Q = quotient(M, H)
         assert M.order() == H.order() * Q.order()
-
-
-def test_quotient_projection_surjective():
-    M = FgGroup((8, 2))
-    H = Subgroup.from_generators(M, [M.element([4, 0])])
-    Q, proj = quotient_with_projection(M, H)
-    assert Q.order() == 8
-    images = {proj(a).coords for a in M.elements()}
-    assert len(images) == 8
-    assert proj(M.element([4, 0])) == Q.zero()
 
 
 def test_as_group_with_embedding():

@@ -1,6 +1,9 @@
+import itertools
+import math
 import random
 
 from pptor.intlinalg import (
+    congruence_lattice,
     det,
     hermite_row_basis,
     identity_matrix,
@@ -11,9 +14,9 @@ from pptor.intlinalg import (
     lattice_intersection,
     lattice_sum,
     mat_mul,
-    reduce_mod_lattice,
     smith_normal_form,
     snf_diagonal,
+    solve_congruences,
     solve_diophantine,
 )
 
@@ -34,10 +37,9 @@ def test_snf_random_properties():
     for _ in range(150):
         r, c = rng.randint(1, 4), rng.randint(1, 4)
         A = rand_matrix(rng, r, c)
-        U, S, V, Ui, Vi = smith_normal_form(A, inverses=True)
+        U, S, V, Vi = smith_normal_form(A, inverses=True)
         assert mat_mul(mat_mul(U, A), V) == S
         assert abs(det(U)) == 1 and abs(det(V)) == 1
-        assert mat_mul(U, Ui) == identity_matrix(r)
         assert mat_mul(V, Vi) == identity_matrix(c)
         diag = [S[i][i] for i in range(min(r, c))]
         for a, b in zip(diag, diag[1:]):
@@ -68,7 +70,6 @@ def test_lattice_coords_and_reduce():
     H = hermite_row_basis([[2, 0], [0, 3]])
     assert lattice_coords(H, [4, -3]) == [2, -1]
     assert lattice_coords(H, [1, 0]) is None
-    assert reduce_mod_lattice(H, [5, 7]) == [1, 1]
 
 
 def test_kernel_and_solve():
@@ -84,6 +85,52 @@ def test_kernel_and_solve():
         assert s is not None
         assert [sum(a * v for a, v in zip(ar, s)) for ar in A] == b
     assert solve_diophantine([[2]], [1]) is None
+
+
+def _solves(A, x, b, moduli):
+    return all((sum(a * v for a, v in zip(row, x)) - c) % m == 0 if m
+               else sum(a * v for a, v in zip(row, x)) == c
+               for row, c, m in zip(A, b, moduli))
+
+
+def test_congruence_systems_against_enumeration():
+    rng = random.Random(5)
+    for trial in range(150):
+        nrows, ncols = rng.randint(1, 3), rng.randint(1, 3)
+        A = rand_matrix(rng, nrows, ncols, bound=6)
+        moduli = [rng.choice((0, 2, 3, 4, 6)) for _ in range(nrows)]
+        if trial % 3 == 0:
+            moduli[0] = 0
+        keep = rng.randint(1, ncols)
+        # without an exact row the solutions are periodic mod P, so the box
+        # [0, P)^ncols holds every solution up to P·ℤ^ncols
+        P = math.lcm(*(m for m in moduli if m))
+        periodic = 0 not in moduli
+        box = range(P) if periodic else range(-8, 9)
+        L = congruence_lattice(A, moduli, keep)
+        assert L == hermite_row_basis(L)
+        sols = [x for x in itertools.product(box, repeat=ncols)
+                if _solves(A, x, [0] * nrows, moduli)]
+        assert all(in_lattice(L, x[:keep]) for x in sols)
+        if periodic:
+            scaled = [[P if j == i else 0 for j in range(keep)]
+                      for i in range(keep)]
+            assert hermite_row_basis([x[:keep] for x in sols] + scaled) == L
+        rest = [row[keep:] for row in A]
+        for r in L:  # each basis row extends to a solution
+            b = [-sum(a * v for a, v in zip(row, r)) for row in A]
+            y = solve_congruences(rest, b, moduli)
+            assert y is not None and _solves(A, list(r) + y, [0] * nrows, moduli)
+        b = [rng.randint(-6, 6) for _ in range(nrows)]
+        x = solve_congruences(A, b, moduli)
+        if x is None:
+            assert not any(_solves(A, y, b, moduli)
+                           for y in itertools.product(box, repeat=ncols))
+        else:
+            assert len(x) == ncols and _solves(A, x, b, moduli)
+    # a system with no rows
+    assert congruence_lattice([], [], 2) == identity_matrix(2)
+    assert solve_congruences([], [], []) == []
 
 
 def test_sum_intersection_index():

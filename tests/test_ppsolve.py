@@ -124,6 +124,19 @@ def test_descriptor_rejects_impure_base():
         ppsolve.pp_type_descriptor(N.element([1]), S, N)
 
 
+def test_pure_embedding_counts():
+    cases = [((2,), (4, 2), 2), ((2,), (2, 2), 3), ((4,), (8, 4), 8),
+             ((2, 2), (4, 2, 2), 24), ((3,), (9, 3), 6), ((1,), (4,), 1),
+             ((), (6,), 1)]
+    for m, n, count in cases:
+        M, N = FgGroup(m), FgGroup(n)
+        embs = list(ppsolve._pure_embeddings(M, N))
+        assert len(embs) == count
+        for S, emb in embs:
+            assert S.order() == M.order() and is_pure(S, N)
+            assert S == Subgroup.from_generators(N, emb)
+
+
 def test_count_types_frozen_values():
     zero = FgGroup(())
     assert ppsolve.count_types(zero, 1) == 1
