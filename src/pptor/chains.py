@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .formulas import Equation, PpFormula, is_low
-from .groups import MAX_RANK, Element, FgGroup, Subgroup, direct_sum
+from .groups import MAX_RANK, Element, FgGroup, GroupError, Subgroup, direct_sum
 from .ppsolve import evaluate
 
 
@@ -84,7 +84,7 @@ def witness_b_elements(p: int, M0: int) -> list[Element]:
                 found = e
                 break
         if found is None:
-            raise AssertionError(f"strict descent fails at level {n}")
+            raise GroupError(f"strict descent fails at level {n}")
         a.append(found)
     out = [B.zero()]
     for n in range(1, M0 + 1):

@@ -556,10 +556,20 @@ def abelian_groups_upto(n: int) -> list[FgGroup]:
     return [G for k in range(1, n + 1) for G in abelian_groups_of_order(k)]
 
 
+# all_subgroups closes every subgroup found under every element: (Z/2)^5
+# takes about half a second, (Z/2)^6 about 16 s.  Larger groups are refused.
+MAX_SUBGROUPS_ORDER = 32
+
+
 def all_subgroups(M: FgGroup) -> list[Subgroup]:
-    """All subgroups of a finite group, by closure under element addition."""
+    """All subgroups of a finite group of order ≤ MAX_SUBGROUPS_ORDER, by
+    closure under element addition."""
     if not M.is_finite:
         raise GroupError("subgroup enumeration requires a finite group")
+    if M.order() > MAX_SUBGROUPS_ORDER:
+        raise GroupError(
+            f"order {M.order()} exceeds the limit {MAX_SUBGROUPS_ORDER} "
+            f"on subgroup enumeration")
     elems = list(M.elements())
     zero = M.zero_subgroup()
     seen = {zero.basis: zero}

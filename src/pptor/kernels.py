@@ -4,13 +4,19 @@ Independent oracle for ppsolve.evaluate: enumerates every assignment of the
 bound variables to group elements, records the reachable values of D·ȳ, and
 then tests each free assignment directly.  No Smith-normal-form shortcuts.
 
-The reachable set is built one bound variable at a time,
-R ← R + {D[:, b]·g : g ∈ M}, removing duplicates after each step, so it
-enumerates at most |R|·|M| sums per step instead of all |M|^nbound
-assignments at once.  Everything runs in numpy.
+M = ⊕ ℤ/m_c adds coordinatewise, so C·x̄ + D·ȳ = 0 holds in M exactly when
+it holds in every coordinate, and coordinate c of D·ȳ depends only on
+coordinate c of each y.  The solution set is therefore the product of the
+solution sets over the cyclic factors ℤ/m_c.  The rank-1 kernel
+_cyclic_codes enumerates one modulus on tables of m^neq codes instead of
+|M|^neq, once per distinct modulus of M, and the per-factor codes are
+combined by a Cartesian sum of their mixed-radix weights.  Everything runs
+in numpy.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -31,71 +37,49 @@ def _check_sizes(order, neq, nfree, nbound):
             )
 
 
-def _element_table(moduli: np.ndarray) -> np.ndarray:
+def _element_table(moduli: list[int], order: int) -> np.ndarray:
     """(order, rank) array of all element coordinate vectors, index order
     matching mixed-radix encoding with the first coordinate fastest."""
-    rank = len(moduli)
-    order = int(np.prod(moduli)) if rank else 1
-    table = np.zeros((order, rank), dtype=np.int64)
-    idx = np.arange(order, dtype=np.int64)
-    for c in range(rank):
-        table[:, c] = idx % moduli[c]
-        idx = idx // moduli[c]
-    return table
+    grid = np.indices(moduli[::-1], dtype=np.int64)
+    return grid.reshape(len(moduli), order)[::-1].T
 
 
-def _encode_values(vals: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-    """Encode (..., neq, rank) residue arrays into flat mixed-radix codes."""
-    neq, rank = vals.shape[-2], vals.shape[-1]
-    code = np.zeros(vals.shape[:-2], dtype=np.int64)
-    stride = 1
-    for e in range(neq):
-        for c in range(rank):
-            code = code + vals[..., e, c] * stride
-            stride *= int(moduli[c])
-    return code
+def _cyclic_codes(C, D, m: int) -> np.ndarray:
+    """Ascending codes Σ_v x_v·m^v of the x̄ ∈ (ℤ/m)^nfree with
+    C·x̄ + D·ȳ = 0 for some ȳ ∈ (ℤ/m)^nbound.
 
-
-def _assignment_values(coeffs, elem, nvars, moduli):
-    """Vectorized −(coeffs·assignment) for all assignments.
-
-    Returns codes array of length n_elem**nvars.
+    C and D are lists of integer rows.  A value vector u ∈ (ℤ/m)^neq has
+    the code Σ_e u_e·m^e.  The reachable set R of D·ȳ is built one bound
+    variable at a time, R ← R + {g·d : g ∈ ℤ/m} with d = D[:, b], in a
+    table of m^neq flags; both summands contain 0, so the table holds
+    exactly the current R.  R is a sum of cyclic subgroups, hence a
+    subgroup, so a step with d ∈ R leaves it as it is.  The multiples g·d
+    for g < m / gcd(m, d) are all distinct, so every other step forms each
+    sum exactly once.  Then every free assignment is tested for −C·x̄ ∈ R.
     """
-    n_elem = elem.shape[0]
-    total = n_elem ** nvars
-    neq, _ = coeffs.shape
-    rank = len(moduli)
-    vals = np.zeros((total, neq, rank), dtype=np.int64)
-    idx = np.arange(total, dtype=np.int64)
-    for v in range(nvars):
-        ei = (idx // (n_elem ** v)) % n_elem
-        # (total, rank) coordinates of variable v's value
-        coords = elem[ei]
-        vals -= coeffs[:, v][None, :, None] * coords[:, None, :]
-        vals %= np.asarray(moduli)[None, None, :]
-    return _encode_values(vals, moduli)
-
-
-def _mark_reachable(D, elem, moduli, strides, table):
-    """Set table[code] for every value of D·ȳ over all ȳ ∈ M^nbound.
-
-    Adds one bound variable at a time: R ← R + {D[:, b]·g : g ∈ M}.  Both
-    summands contain 0, so each R contains the previous one and the table,
-    which accumulates every step, holds exactly the current R.  Every sum is
-    still enumerated; a step forms |R|·|M| ≤ |M|^nbound of them.
-    """
-    neq, nbound = D.shape
-    digit_strides = strides.reshape(neq, len(moduli))
+    neq = len(C)
+    nfree, nbound = len(C[0]), len(D[0])
+    weights = m ** np.arange(neq, dtype=np.int64)
+    table = np.zeros(m ** neq, dtype=np.bool_)
     table[0] = True
-    reach = np.zeros((1, neq, len(moduli)), dtype=np.int64)
+    reach = np.zeros((1, neq), dtype=np.int64)
     for b in range(nbound):
-        step = D[:, b][None, :, None] * elem[:, None, :] % moduli
-        _, first = np.unique(_encode_values(step, moduli), return_index=True)
-        sums = (reach[:, None] + step[first][None, :]) % moduli
-        table[_encode_values(sums, moduli)] = True
+        d = np.asarray([int(row[b]) % m for row in D], dtype=np.int64)
+        if table[d @ weights]:
+            continue
+        k = m // math.gcd(m, *d.tolist())
+        step = np.arange(k, dtype=np.int64)[:, None] * d % m
+        sums = (reach[:, None, :] + step[None, :, :]) % m
+        table[sums.reshape(-1, neq) @ weights] = True
         if b + 1 < nbound:
-            codes = np.flatnonzero(table)
-            reach = codes[:, None, None] // digit_strides % moduli
+            reach = np.flatnonzero(table)[:, None] // weights % m
+    if nfree == 0:
+        return np.zeros(1, dtype=np.int64)  # 0 ∈ R: the empty assignment solves
+    Cm = np.asarray([[int(c) % m for c in row] for row in C], dtype=np.int64)
+    digits = np.arange(m ** nfree, dtype=np.int64)[:, None] \
+        // m ** np.arange(nfree, dtype=np.int64) % m
+    target = -(digits @ Cm.T) % m
+    return np.flatnonzero(table[target @ weights])
 
 
 def brute_force_solutions(C, D, moduli) -> list[tuple[tuple[int, ...], ...]]:
@@ -126,45 +110,44 @@ def encode_assignment(assign, moduli) -> int:
 def brute_force_codes(C, D, moduli):
     """Like brute_force_solutions but stops at the encoded solution array.
 
-    Returns (sols, elem, nfree, order): sols is a sorted int64 array of
-    mixed-radix codes (encode_assignment) of the solution assignments.
+    Returns (sols, elem, nfree, order): sols is a strictly ascending int64
+    array of mixed-radix codes (encode_assignment) of the solution
+    assignments.  Coordinate c of free variable v is the digit of weight
+    order^v·stride_c, stride_c = m_0⋯m_{c−1}, so the solution set of M is
+    the Cartesian sum of the per-factor solution sets, each reweighted.
     """
-    C = np.asarray([list(r) for r in C], dtype=object)
-    D = np.asarray([list(r) for r in D], dtype=object)
-    moduli_np = np.asarray([int(m) for m in moduli], dtype=np.int64)
-    if np.any(moduli_np < 1):
+    C = [list(r) for r in C]
+    D = [list(r) for r in D]
+    moduli = [int(m) for m in moduli]
+    if any(m < 1 for m in moduli):
         raise ValueError("brute force requires a finite group (moduli >= 1)")
-    rank = len(moduli_np)
+    rank = len(moduli)
     neq = len(C)
     nfree = len(C[0]) if neq else 0
     nbound = len(D[0]) if neq else 0
-    order = int(np.prod(moduli_np)) if rank else 1
+    order = math.prod(moduli)
     _check_sizes(order, neq, nfree, nbound)
 
-    elem = _element_table(moduli_np)
+    elem = _element_table(moduli, order)
     if neq == 0 or rank == 0:
         # no constraints (or trivial group): everything is a solution
-        total = order ** nfree
-        return np.arange(total, dtype=np.int64), elem, nfree, order
+        return np.arange(order ** nfree, dtype=np.int64), elem, nfree, order
+    if rank == 1:
+        return _cyclic_codes(C, D, moduli[0]), elem, nfree, order
 
-    # reduce coefficients into [0, m) per use; safe because each coordinate
-    # is computed mod its own modulus and exp(M) bounds every modulus
-    exp = int(np.lcm.reduce(moduli_np))
-    C_red = np.asarray([[int(c) % exp for c in row] for row in C], dtype=np.int64)
-    D_red = np.asarray([[int(c) % exp for c in row] for row in D], dtype=np.int64)
-
-    strides = np.zeros(neq * rank, dtype=np.int64)
-    s = 1
-    for e in range(neq):
-        for c in range(rank):
-            strides[e * rank + c] = s
-            s *= int(moduli_np[c])
-    table = np.zeros(order ** neq, dtype=np.bool_)
-
-    _mark_reachable(D_red, elem, moduli_np, strides, table)
-    target = _assignment_values(C_red, elem, nfree, moduli_np) \
-        if nfree else np.zeros(1, dtype=np.int64)
-    sols = np.nonzero(table[target])[0]
+    powers = np.arange(nfree, dtype=np.int64)
+    per_modulus: dict[int, np.ndarray] = {}
+    sols = np.zeros(1, dtype=np.int64)
+    stride = 1
+    for m in moduli:
+        if m not in per_modulus:
+            per_modulus[m] = _cyclic_codes(C, D, m)
+        codes = per_modulus[m]
+        digits = codes[:, None] // m ** powers % m
+        reweighted = digits @ (order ** powers * stride)
+        sols = (sols[:, None] + reweighted[None, :]).ravel()
+        stride *= m
+    sols.sort()
     return sols, elem, nfree, order
 
 

@@ -115,6 +115,8 @@ def find_constrained_hom(source: FgGroup, target: FgGroup, constraints):
     pairs += [(a.coords if isinstance(a, Element) else tuple(a),
                b.coords if isinstance(b, Element) else tuple(b))
               for a, b in constraints]
+    if not pairs:  # no conditions at all: the zero map is one answer
+        return Homomorphism(source, target, [[0] * r2 for _ in range(r1)])
     # unknown i·r2 + k is entry k of f(e_i)
     A = [[v[i] if k == j else 0 for i in range(r1) for k in range(r2)]
          for v, _ in pairs for j in range(r2)]

@@ -1,6 +1,8 @@
+import pytest
+
 from pptor import chains, ppsolve
 from pptor.formulas import is_low, parse
-from pptor.groups import FgGroup, is_isomorphic
+from pptor.groups import FgGroup, GroupError, is_isomorphic
 
 
 def test_witness_formula_shape():
@@ -51,6 +53,13 @@ def test_witness_b_elements():
         a = bs[n + 1] + (-bs[n])
         assert ppsolve.evaluate(chain(n), B).contains(a)
         assert not ppsolve.evaluate(chain(n + 1), B).contains(a)
+
+
+def test_witness_b_elements_reports_failed_descent(monkeypatch):
+    # every level the same subgroup: no a_0 ∈ φ_0[B] \ φ_1[B] exists
+    monkeypatch.setattr(chains, "evaluate", lambda f, M: M.full_subgroup())
+    with pytest.raises(GroupError, match="strict descent fails at level 0"):
+        chains.witness_b_elements(2, 3)
 
 
 def test_generic_formula_chain():

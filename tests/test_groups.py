@@ -5,6 +5,7 @@ import pytest
 from pptor import corpus
 from pptor.groups import (
     MAX_RANK,
+    MAX_SUBGROUPS_ORDER,
     TRIAL_DIVISION_LIMIT,
     FgGroup,
     GroupError,
@@ -117,6 +118,14 @@ def test_all_subgroups_counts():
     assert len(all_subgroups(FgGroup((4, 2)))) == 8
     assert len(all_subgroups(FgGroup((2, 2, 2)))) == 16  # 1+7+7+1
     assert len(all_subgroups(FgGroup((9,)))) == 3
+
+
+def test_all_subgroups_order_limit():
+    assert MAX_SUBGROUPS_ORDER == 32
+    assert len(all_subgroups(FgGroup((32,)))) == 6  # at the limit
+    for moduli in ((33,), (2,) * 6):
+        with pytest.raises(GroupError, match="limit 32"):
+            all_subgroups(FgGroup(moduli))
 
 
 def test_is_isomorphic():

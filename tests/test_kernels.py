@@ -1,16 +1,21 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pptor import corpus
-from pptor.formulas import normalize
+from pptor.formulas import Equation, PpFormula, normalize
+from pptor.groups import FgGroup
 from pptor.kernels import (
     EnumerationLimit,
     brute_force_codes,
     brute_force_solutions,
     encode_assignment,
 )
+from pptor.ppsolve import evaluate
 
 
 def naive_solutions(C, D, moduli):
@@ -64,6 +69,54 @@ def test_against_naive_reference():
                                 moduli_pool=(2, 3, 4), free_ok=False)
         _assert_matches_naive(f, M)
         cases += 1
+    # rank 2 and 3: the per-factor codes are combined by a Cartesian sum,
+    # and a repeated modulus reuses one factor's codes at two strides.
+    # (2, 4, 3), the one group of order > 16, gets at most two variables.
+    rng = random.Random(28)
+    named = [FgGroup((2, 2, 3)), FgGroup((2, 4, 3)), FgGroup((4, 2))]
+    cases = 0
+    while cases < 40:
+        f = corpus.random_formula(rng, max_free=2, max_bound=2)
+        M = named[cases % 3] if cases < 15 else corpus.random_group(
+            rng, max_rank=3, moduli_pool=(2, 3, 4), free_ok=False)
+        nvars = len(f.free_vars) + len(f.bound_vars)
+        if M.rank < 2 or M.order() ** nvars > 4096 \
+                or (M.order() > 16 and M not in named):
+            continue
+        _assert_matches_naive(f, M)
+        cases += 1
+
+
+def test_codes_strictly_ascending():
+    # criterion 01 looks codes up with searchsorted
+    rng = random.Random(29)
+    for _ in range(60):
+        f = corpus.random_formula(rng)
+        M = corpus.random_group(rng, moduli_pool=(2, 3, 4, 6), free_ok=False)
+        m = normalize(f)
+        sols = brute_force_codes(m.C, m.D, M.moduli)[0]
+        assert sols.dtype == np.int64
+        assert np.all(np.diff(sols) > 0)
+
+
+@st.composite
+def _formulas_and_groups(draw):
+    moduli = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+    fv = tuple(f"x{i}" for i in range(draw(st.integers(1, 2))))
+    bv = tuple(f"y{i}" for i in range(draw(st.integers(0, 2))))
+    coeffs = st.lists(st.integers(-6, 6), min_size=len(fv + bv),
+                      max_size=len(fv + bv))
+    rows = draw(st.lists(coeffs, min_size=1, max_size=3))
+    eqs = tuple(Equation(tuple(zip(row, fv + bv)), ()) for row in rows)
+    return PpFormula(fv, bv, eqs), FgGroup(moduli)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_formulas_and_groups())
+def test_evaluate_order_equals_oracle_count(case):
+    f, M = case
+    m = normalize(f)
+    assert evaluate(f, M).order() == len(brute_force_codes(m.C, m.D, M.moduli)[0])
 
 
 def test_codes_consistent_with_solutions():

@@ -71,6 +71,16 @@ def test_find_constrained_hom():
         M, N, [(M.element([1]), N.element([1]))]) is None
 
 
+def test_find_constrained_hom_without_rows():
+    # no torsion in the source and no constraints: the system has no rows
+    for M, N in ((FgGroup((0,)), FgGroup((2,))),
+                 (FgGroup((0, 0)), FgGroup((2, 3)))):
+        h = ppsolve.find_constrained_hom(M, N, [])
+        assert h is not None
+        assert all(h(M.element(e)) == N.zero()
+                   for e in ([1] * M.rank, [3] + [0] * (M.rank - 1)))
+
+
 def test_find_constrained_hom_matches_enumeration():
     rng = random.Random(13)
     for _ in range(80):
