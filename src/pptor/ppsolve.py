@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd, prod
 
 from .formulas import PpFormula, normalize
 from .groups import (
@@ -101,31 +102,43 @@ def index(f: PpFormula, g: PpFormula, M: FgGroup):
 # constrained homomorphisms (the pp-type oracle)
 
 
+def _coords(x, G: FgGroup):
+    """Coordinates of x, an Element of G or a sequence of G.rank integers."""
+    if isinstance(x, Element):
+        if x.group != G:
+            raise GroupError(f"{x} of {x.group} is not an element of {G}")
+        return x.coords
+    x = tuple(x)
+    if len(x) != G.rank:
+        raise GroupError(f"expected {G.rank} coordinates of {G}, got {len(x)}")
+    return x
+
+
 def find_constrained_hom(source: FgGroup, target: FgGroup, constraints):
     """A Homomorphism source → target with f(a) = b for each (a, b) in
     constraints (elements, or coordinate sequences), or None.
 
-    Solved as one system of congruences in the matrix entries: row j of
-    f(v) = w holds modulo target modulus j, for v = d_i·e_i, w = 0 (so that
-    f is well defined) and for each constraint.
+    Entry j of f(v) is Σ_i v_i·x_{i,j} and is taken modulo target modulus
+    t_j alone, so column j of the matrix is its own system of congruences
+    modulo t_j, in r1 unknowns: v·x ≡ w_j for v = d_i·e_i, w = 0 (so that f
+    is well defined) and for each constraint.  The columns are solved one
+    at a time.
     """
     r1, r2 = source.rank, target.rank
     pairs = [([d if k == i else 0 for k in range(r1)], [0] * r2)
              for i, d in enumerate(source.moduli) if d]
-    pairs += [(a.coords if isinstance(a, Element) else tuple(a),
-               b.coords if isinstance(b, Element) else tuple(b))
-              for a, b in constraints]
+    pairs += [(_coords(a, source), _coords(b, target)) for a, b in constraints]
     if not pairs:  # no conditions at all: the zero map is one answer
         return Homomorphism(source, target, [[0] * r2 for _ in range(r1)])
-    # unknown i·r2 + k is entry k of f(e_i)
-    A = [[v[i] if k == j else 0 for i in range(r1) for k in range(r2)]
-         for v, _ in pairs for j in range(r2)]
-    rhs = [w[j] for _, w in pairs for j in range(r2)]
-    sol = solve_congruences(A, rhs, list(target.moduli) * len(pairs))
-    if sol is None:
-        return None
-    matrix = [[sol[i * r2 + j] for j in range(r2)] for i in range(r1)]
-    return Homomorphism(source, target, matrix)
+    A = [list(v) for v, _ in pairs]
+    cols = []
+    for j, t in enumerate(target.moduli):
+        col = solve_congruences(A, [w[j] for _, w in pairs], [t] * len(pairs))
+        if col is None:
+            return None
+        cols.append(col)
+    return Homomorphism(source, target, [[col[i] for col in cols]
+                                         for i in range(r1)])
 
 
 def enumerate_homs(source: FgGroup, target: FgGroup):
@@ -295,6 +308,12 @@ def _pure_embeddings(M: FgGroup, N: FgGroup):
 # of M into it and every element: bound 32 takes about a second over M = 0,
 # while 200 runs for longer than 20 s.  Larger bounds are refused.
 MAX_TYPES_BOUND = 32
+# The candidate embeddings M → N number Π_i |N[d_i]| for M = ⊕ ℤ/d_i, summed
+# over the groups N.  Within the bound, the largest accepted input,
+# (Z/2)^2 at bound 31 (660 candidates), takes about 8 s with the oracle;
+# (Z/5)^2 at 32 (847) takes 19 s, (Z/3)^2 at 32 (1,127) 30 s and (Z/2)^3
+# at 32 (44,316) longer still.  More candidates are refused.
+MAX_TYPES_CANDIDATES = 800
 
 
 def count_types(M: FgGroup, bound: int, use_oracle: bool = False) -> int:
@@ -312,8 +331,16 @@ def count_types(M: FgGroup, bound: int, use_oracle: bool = False) -> int:
             f"of the enumerated extensions")
     if bound < M.order():
         raise PpSolveError("bound must be at least |M|")
+    groups = abelian_groups_upto(bound)
+    # |N[d]| = Π_j gcd(d, n_j) for N = ⊕ ℤ/n_j
+    candidates = sum(prod(prod(gcd(d, n) for n in N.moduli) for d in M.moduli)
+                     for N in groups)
+    if candidates > MAX_TYPES_CANDIDATES:
+        raise PpSolveError(
+            f"{candidates} candidate homomorphisms from {M} into the groups "
+            f"of order ≤ {bound} exceed the limit {MAX_TYPES_CANDIDATES}")
     reps = {}  # descriptor → (a, emb, N), the first triple of its class
-    for N in abelian_groups_upto(bound):
+    for N in groups:
         for S, emb in _pure_embeddings(M, N):
             for a in N.elements():
                 d = pp_type_descriptor(a, S, N, check_purity=False,

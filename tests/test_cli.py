@@ -164,6 +164,18 @@ def test_types_bound_limit(capsys):
     assert code == 1 and "limit 32" in doc["error"]
 
 
+@pytest.mark.parametrize("argv", [("types", "(Z/2)^3", "--bound", "32"),
+                                  ("types", "Z/2 + Z/2", "--bound", "32",
+                                   "--oracle")])
+def test_types_candidate_limit(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and "limit 800" in err
+    code, doc = run_json(capsys, *argv)
+    assert code == 1 and "limit 800" in doc["error"]
+    assert time.perf_counter() - start < 5
+
+
 def test_ulm(capsys):
     code, doc = run_json(capsys, "ulm", "Z/8 + Z/2")
     assert code == 0

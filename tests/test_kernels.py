@@ -111,7 +111,7 @@ def _formulas_and_groups(draw):
     return PpFormula(fv, bv, eqs), FgGroup(moduli)
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_formulas_and_groups())
 def test_evaluate_order_equals_oracle_count(case):
     f, M = case

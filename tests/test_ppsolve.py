@@ -1,10 +1,18 @@
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from pptor import corpus, ppsolve
 from pptor.formulas import normalize, parse
-from pptor.groups import FgGroup, Subgroup, abelian_groups_upto, all_subgroups
+from pptor.groups import (
+    FgGroup,
+    GroupError,
+    Subgroup,
+    abelian_groups_upto,
+    all_subgroups,
+)
 from pptor.kernels import brute_force_solutions
 from pptor.purity import is_pure
 
@@ -81,18 +89,82 @@ def test_find_constrained_hom_without_rows():
                    for e in ([1] * M.rank, [3] + [0] * (M.rank - 1)))
 
 
-def test_find_constrained_hom_matches_enumeration():
-    rng = random.Random(13)
-    for _ in range(80):
-        M = corpus.random_group(rng, max_rank=2, moduli_pool=(2, 3, 4),
-                                free_ok=False)
-        N = corpus.random_group(rng, max_rank=2, moduli_pool=(2, 4, 8),
-                                free_ok=False)
-        a = corpus.random_element(rng, M)
-        b = corpus.random_element(rng, N)
-        found = ppsolve.find_constrained_hom(M, N, [(a, b)]) is not None
-        exists = any(h(a) == b for h in ppsolve.enumerate_homs(M, N))
-        assert found == exists
+def test_find_constrained_hom_rejects_foreign_constraints():
+    M, N = FgGroup((4,)), FgGroup((8,))
+    for a, b in ((FgGroup((3,)).element([1]), N.element([2])),
+                 ((1, 0), (2,)),
+                 ((), (2,)),
+                 (M.element([1]), FgGroup((4,)).element([2])),
+                 ((1,), (2, 0))):
+        with pytest.raises(GroupError):
+            ppsolve.find_constrained_hom(M, N, [(a, b)])
+
+
+def test_find_constrained_hom_free_target_coordinate():
+    M, N = FgGroup((4, 0)), FgGroup((0, 4))
+    cons = [(M.element([1, 0]), N.element([0, 2])),
+            (M.element([0, 1]), N.element([3, 1])),
+            (M.element([1, 2]), N.element([6, 0]))]
+    h = ppsolve.find_constrained_hom(M, N, cons)
+    assert h is not None
+    assert all(h(a) == b for a, b in cons)
+    # an element of order 4 has no nonzero image in the free coordinate
+    assert ppsolve.find_constrained_hom(
+        M, N, [(M.element([1, 0]), N.element([1, 0]))]) is None
+
+
+_small_moduli = st.lists(st.sampled_from((1, 2, 3, 4, 6, 8)),
+                         min_size=1, max_size=2)
+
+
+@st.composite
+def _constrained_hom_problems(draw):
+    M, N = FgGroup(tuple(draw(_small_moduli))), FgGroup(tuple(draw(_small_moduli)))
+
+    def element(G):
+        return G.element(draw(st.lists(st.integers(-9, 9), min_size=G.rank,
+                                       max_size=G.rank)))
+
+    cons = [(element(M), element(N)) for _ in range(draw(st.integers(0, 2)))]
+    return M, N, cons
+
+
+@given(_constrained_hom_problems())
+def test_find_constrained_hom_matches_enumeration(problem):
+    M, N, cons = problem
+    h = ppsolve.find_constrained_hom(M, N, cons)
+    exists = any(all(g(a) == b for a, b in cons)
+                 for g in ppsolve.enumerate_homs(M, N))
+    assert (h is not None) == exists
+    if h is not None:
+        assert all(h(a) == b for a, b in cons)
+
+
+@st.composite
+def _triple_pairs(draw):
+    """Two triples over the same parameter group: S pure in N1, and its copy
+    in N2 = N1 ⊕ ℤ/k, where it stays pure as N1 is a direct summand."""
+    N1 = FgGroup(tuple(draw(_small_moduli)))
+    gens = draw(st.lists(st.lists(st.integers(0, 7), min_size=N1.rank,
+                                  max_size=N1.rank), max_size=2))
+    S1 = Subgroup.from_generators(N1, [N1.element(g) for g in gens])
+    assume(is_pure(S1, N1))
+    N2 = FgGroup(N1.moduli + (draw(st.sampled_from((1, 2, 3, 4))),))
+    S2 = Subgroup.from_generators(
+        N2, [N2.element(list(g) + [0]) for g in gens])
+    a1 = N1.element(draw(st.lists(st.integers(0, 7), min_size=N1.rank,
+                                  max_size=N1.rank)))
+    a2 = N2.element(draw(st.lists(st.integers(0, 7), min_size=N2.rank,
+                                  max_size=N2.rank)))
+    return a1, S1, N1, a2, S2, N2
+
+
+@given(_triple_pairs())
+def test_descriptor_equality_matches_oracle(case):
+    a1, S1, N1, a2, S2, N2 = case
+    d1 = ppsolve.pp_type_descriptor(a1, S1, N1, check_purity=False)
+    d2 = ppsolve.pp_type_descriptor(a2, S2, N2, check_purity=False)
+    assert (d1 == d2) == ppsolve.hom_oracle_equal(a1, S1, N1, a2, S2, N2)
 
 
 def _pure_subgroups(N):
@@ -170,6 +242,16 @@ def test_count_types_oracle_agreement():
 def test_count_types_bound_limit():
     with pytest.raises(ppsolve.PpSolveError, match=str(ppsolve.MAX_TYPES_BOUND)):
         ppsolve.count_types(FgGroup(()), ppsolve.MAX_TYPES_BOUND + 1)
+
+
+def test_count_types_candidate_limit():
+    # (Z/2)^2 has 660 candidate embeddings into the groups of order ≤ 31 and
+    # 2,104 into those of order ≤ 32
+    assert ppsolve.count_types(FgGroup((2, 2)), 31) == 23
+    for m in ((2, 2), (2, 2, 2), (2, 2, 2, 2, 2)):
+        with pytest.raises(ppsolve.PpSolveError,
+                           match=f"limit {ppsolve.MAX_TYPES_CANDIDATES}"):
+            ppsolve.count_types(FgGroup(m), 32)
 
 
 def test_count_types_oracle_disagreement_raises(monkeypatch):

@@ -1,5 +1,8 @@
 import random
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from pptor import corpus, purity
 from pptor.groups import (
     FgGroup,
@@ -64,6 +67,21 @@ def test_pure_iff_splitting_random_with_free_parts():
             assert H.contains(a) and _scaled(M, n, M.full_subgroup()).contains(a)
             assert not _scaled(M, n, H).contains(a)
     assert infinite >= 50
+
+
+@st.composite
+def _subgroups_with_free_parts(draw):
+    M = FgGroup(tuple(draw(st.lists(st.sampled_from((0, 1, 2, 3, 4, 6, 8, 9)),
+                                    min_size=1, max_size=3))))
+    gens = draw(st.lists(st.lists(st.integers(-12, 12), min_size=M.rank,
+                                  max_size=M.rank), max_size=3))
+    return Subgroup.from_generators(M, [M.element(g) for g in gens]), M
+
+
+@given(_subgroups_with_free_parts())
+def test_pure_iff_splitting_property(case):
+    H, M = case
+    assert purity.is_pure(H, M) == purity.is_pure_via_splitting(H, M)
 
 
 def test_pure_iff_splitting_exhaustive_small():
