@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, inf, lcm
+from math import gcd, inf, lcm, prod
 
 from .intlinalg import (
+    hermite_mod,
     hermite_row_basis,
     identity_matrix,
     in_lattice,
+    intersection_mod,
     lattice_coords,
     lattice_index,
     lattice_intersection,
-    lattice_sum,
     mat_mul,
     smith_normal_form,
     snf_diagonal,
@@ -37,8 +38,10 @@ TRIAL_DIVISION_LIMIT = 10**6
 
 # Largest rank (number of cyclic coordinates) of a group the parser builds
 # and evaluate works in.  HNF and Smith form cost grows steeply with the
-# rank: at rank 64 `ulm "(Z/1000000)^64"` takes about 2 s, while
-# `complement 0 "(Z/2)^300"` runs for longer than 20 s.
+# rank: at rank 64 `ulm "(Z/1000000)^64"` takes about 0.5 s and
+# `chain --witness 2 64 1 --indices` about 1.5 s, while with the limit
+# lifted `complement 0 "(Z/2)^300"` takes about 7 s and `ulm "(Z/2)^600"`
+# about 11 s (2 CPUs, Python 3.11).
 MAX_RANK = 64
 
 
@@ -103,7 +106,7 @@ class FgGroup:
 
     @property
     def is_finite(self) -> bool:
-        return self.free_rank == 0
+        return 0 not in self.moduli
 
     def order(self):
         if not self.is_finite:
@@ -243,12 +246,22 @@ class Element:
 
 
 class Subgroup:
-    """A subgroup of an FgGroup, canonically a row lattice R ⊆ L ⊆ ℤ^g."""
+    """A subgroup of an FgGroup, canonically a row lattice R ⊆ L ⊆ ℤ^g.
+
+    In a finite ambient L contains R = diag(m), so its HNF is square, built
+    by hermite_mod, and |L/R| is Π m_i over the product of the pivots.
+    """
 
     def __init__(self, ambient: FgGroup, lattice_rows):
         self.ambient = ambient
         rows = [list(map(int, r)) for r in lattice_rows]
-        basis = hermite_row_basis(rows + ambient.relation_basis)
+        if any(len(r) != ambient.rank for r in rows):
+            raise GroupError(
+                f"generator rows of {ambient} need {ambient.rank} coordinates")
+        if ambient.is_finite:
+            basis = hermite_mod(rows, ambient.moduli)
+        else:
+            basis = hermite_row_basis(rows + ambient.relation_basis)
         self.basis = tuple(tuple(r) for r in basis)
 
     @classmethod
@@ -284,19 +297,25 @@ class Subgroup:
 
     def order(self):
         """|L/R|, i.e. the number of elements, or inf."""
+        if self.ambient.is_finite:
+            return (prod(self.ambient.moduli)
+                    // prod(row[i] for i, row in enumerate(self.basis)))
         idx = lattice_index(self.basis, self.ambient.relation_basis)
         return inf if idx is None else idx
 
     def sum(self, other: "Subgroup") -> "Subgroup":
         if self.ambient != other.ambient:
             raise GroupError("subgroups of different groups")
-        return Subgroup(self.ambient, lattice_sum(self.basis, other.basis))
+        return Subgroup(self.ambient, self.basis + other.basis)
 
     __add__ = sum
 
     def intersection(self, other: "Subgroup") -> "Subgroup":
         if self.ambient != other.ambient:
             raise GroupError("subgroups of different groups")
+        if self.ambient.is_finite:
+            return Subgroup(self.ambient, intersection_mod(
+                self.basis, other.basis, self.ambient.moduli))
         return Subgroup(self.ambient,
                         lattice_intersection(self.basis, other.basis))
 
@@ -307,6 +326,8 @@ class Subgroup:
         """[other : self]; self ⊆ other required."""
         if not self <= other:
             raise GroupError("not a sub-subgroup")
+        if self.ambient.is_finite:
+            return other.order() // self.order()
         idx = lattice_index(other.basis, self.basis)
         return inf if idx is None else idx
 
@@ -557,7 +578,7 @@ def abelian_groups_upto(n: int) -> list[FgGroup]:
 
 
 # all_subgroups closes every subgroup found under every element: (Z/2)^5
-# takes about half a second, (Z/2)^6 about 16 s.  Larger groups are refused.
+# takes about 0.4 s, (Z/2)^6 about 8 s.  Larger groups are refused.
 MAX_SUBGROUPS_ORDER = 32
 
 

@@ -4,6 +4,11 @@ Diophantine solving, and row-lattice arithmetic.
 Everything here works on plain Python ints (arbitrary precision); matrices
 are lists of lists.  Pivoting is deterministic (smallest absolute value,
 ties broken by lowest index) so all outputs are reproducible.
+
+``hermite_row_basis`` is the one general HNF.  Lattices that contain
+diag(m) with every m_i ≥ 1 (the subgroups of a finite group) take the
+finite-ambient path: ``hermite_mod`` builds the same square HNF with entries
+reduced modulo m, and ``intersection_mod`` intersects two of them.
 """
 
 from __future__ import annotations
@@ -98,15 +103,24 @@ def smith_normal_form(A: Matrix, inverses: bool = False):
     while t < min(m, n):
         done = False
         while True:
-            # deterministic pivot: smallest |entry| in the block, row-major ties
+            # deterministic pivot: smallest |entry| in the block, row-major
+            # ties; no entry is smaller than 1, so the scan stops there
             piv = None
-            best = None
+            best = 0
             for i in range(t, m):
+                row = S[i]
                 for j in range(t, n):
-                    v = abs(S[i][j])
-                    if v and (best is None or v < best):
-                        best = v
-                        piv = (i, j)
+                    v = row[j]
+                    if v:
+                        if v < 0:
+                            v = -v
+                        if v < best or not best:
+                            best = v
+                            piv = (i, j)
+                            if v == 1:
+                                break
+                if best == 1:
+                    break
             if piv is None:
                 done = True
                 break
@@ -199,16 +213,78 @@ def hermite_row_basis(rows) -> list[list[int]]:
     return [row for row in basis if any(row)]
 
 
+def _xgcd(a: int, b: int):
+    """(g, s, t) with s·a + t·b = g = gcd(a, b), for a, b > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def hermite_mod(rows, moduli) -> list[list[int]]:
+    """hermite_row_basis(rows + diag(moduli)) for moduli all ≥ 1, computed
+    with every entry reduced modulo its column's modulus.
+
+    The lattice L contains R = diag(m), so its HNF B is square with pivot
+    B[j][j] dividing m_j, and m_k·e_k lies in the span of the rows of B with
+    pivot ≥ k.  B starts as diag(m), the HNF of R.  Each row is inserted by
+    2×2 extended-gcd steps against the pivot row of its leading column;
+    both rows keep the entries of every column k after the pivot reduced
+    mod m_k, which subtracts multiples of m_k·e_k, i.e. of the untouched
+    rows below.  A last pass reduces the entries above each pivot into
+    [0, pivot).  (Domich–Kannan–Trotter 1987; Cohen, GTM 138, Alg. 2.4.8.)
+    """
+    moduli = tuple(moduli)
+    if not all(m >= 1 for m in moduli):
+        raise ValueError(f"hermite_mod needs moduli ≥ 1, got {moduli}")
+    n = len(moduli)
+    B = [[m if j == i else 0 for j in range(n)] for i, m in enumerate(moduli)]
+    for row in rows:
+        if len(row) != n:
+            raise ValueError(f"row of length {len(row)} in a lattice of rank {n}")
+        r = [int(a) % m for a, m in zip(row, moduli)]
+        for j in range(n):
+            a = r[j]
+            if not a:
+                continue
+            p = B[j]
+            d = p[j]
+            if a % d == 0:
+                q = a // d
+                r = [(x - q * y) % m for x, y, m in zip(r, p, moduli)]
+                continue
+            # [p; r] ← [s t; a/g −d/g]·[p; r] is unimodular; the new pivot g
+            # divides a < m_j, so the reduction mod m_j keeps it
+            g, s, t = _xgcd(d, a)
+            u, w = a // g, d // g
+            B[j] = [(s * y + t * x) % m for x, y, m in zip(r, p, moduli)]
+            r = [(u * y - w * x) % m for x, y, m in zip(r, p, moduli)]
+    for j in range(n):
+        p = B[j]
+        d = p[j]
+        for i in range(j):
+            q = B[i][j] // d
+            if q:
+                B[i] = [x - q * y for x, y in zip(B[i], p)]
+    return B
+
+
 def _pivot_col(row) -> int:
     return next(c for c, v in enumerate(row) if v)
 
 
 def lattice_coords(basis: list[list[int]], v) -> list[int] | None:
-    """Coefficients expressing v in an echelon (HNF) basis, or None."""
+    """Coefficients expressing v in an echelon (HNF) basis, or None.
+
+    A square basis has full rank, so its pivots lie on the diagonal."""
     v = list(map(int, v))
+    square = len(basis) == len(v)
     coeffs = []
-    for row in basis:
-        j = _pivot_col(row)
+    for i, row in enumerate(basis):
+        j = i if square else _pivot_col(row)
         if v[j] % row[j]:
             return None
         q = v[j] // row[j]
@@ -304,15 +380,25 @@ def lattice_intersection(b1: list[list[int]], b2: list[list[int]]) -> list[list[
     if not b1 or not b2:
         return []
     n = len(b1[0])
-    k1, k2 = len(b1), len(b2)
-    # x·b1 = y·b2  <=>  [b1^T | -b2^T]·(x;y) = 0
-    A = [[b1[i][c] for i in range(k1)] + [-b2[j][c] for j in range(k2)]
-         for c in range(n)]
-    rows = []
-    for vec in kernel_basis(A):
-        x = vec[:k1]
-        rows.append([sum(x[i] * b1[i][c] for i in range(k1)) for c in range(n)])
-    return hermite_row_basis(rows)
+    hnf = hermite_row_basis(_zassenhaus_rows(b1, b2, n))
+    return [row[n:] for row in hnf if not any(row[:n])]
+
+
+def _zassenhaus_rows(b1, b2, n: int) -> list[list[int]]:
+    """[b1 | b1 ; b2 | 0]: its left halves span L1 + L2, and (0, v) lies in
+    its span exactly when v ∈ L1 ∩ L2.  In an echelon basis those vectors
+    are spanned by the rows whose left half is zero, so the right halves of
+    these rows in the HNF are the HNF of L1 ∩ L2 (Zassenhaus)."""
+    return [list(r) + list(r) for r in b1] + [list(r) + [0] * n for r in b2]
+
+
+def intersection_mod(b1, b2, moduli) -> list[list[int]]:
+    """lattice_intersection of two lattices that contain diag(moduli), all
+    moduli ≥ 1.  The Zassenhaus lattice then contains diag(moduli, moduli),
+    so hermite_mod gives its square HNF, whose last rows carry L1 ∩ L2."""
+    n = len(moduli)
+    hnf = hermite_mod(_zassenhaus_rows(b1, b2, n), tuple(moduli) * 2)
+    return [row[n:] for row in hnf[n:]]
 
 
 def lattice_index(outer: list[list[int]], inner: list[list[int]]):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pptor import corpus
 from pptor.groups import (
@@ -100,11 +102,55 @@ def test_as_group_with_embedding():
             assert G.order() == S.order()
 
 
-def test_subgroup_elements_match_order():
-    M = FgGroup((4, 2, 3))
-    S = Subgroup.from_generators(M, [M.element([2, 1, 0]), M.element([0, 0, 1])])
+def _closure(M, gens):
+    """The subgroup generated by gens, by closing {0} under adding them."""
+    span = {M.zero()}
+    frontier = list(span)
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in gens:
+                b = a + M.element(g)
+                if b not in span:
+                    span.add(b)
+                    new.append(b)
+        frontier = new
+    return span
+
+
+@st.composite
+def _group_and_torsion_gens(draw):
+    """A group of rank ≤ 3, free coordinates included, and two lists of
+    generators that are 0 on the free coordinates, so they span finite
+    subgroups."""
+    moduli = draw(st.lists(st.sampled_from((0, 1, 2, 3, 4, 6)), min_size=1,
+                           max_size=3))
+    gen = st.tuples(*(st.just(0) if m == 0 else st.integers(-7, 7)
+                      for m in moduli))
+    gens = st.lists(gen, max_size=3)
+    return FgGroup(moduli), draw(gens), draw(gens)
+
+
+@given(_group_and_torsion_gens())
+@example((FgGroup((4, 2, 3)), [(2, 1, 0), (0, 0, 1)], [(1, 0, 0)]))
+def test_subgroup_elements_match_order(case):
+    M, g1, g2 = case
+    S, T = Subgroup.from_generators(M, g1), Subgroup.from_generators(M, g2)
+    span_s, span_t = _closure(M, g1), _closure(M, g2)
     els = list(S.elements())
-    assert len(els) == S.order() == len(set(e.coords for e in els))
+    assert S.order() == len(els) == len(span_s) and set(els) == span_s
+    meet = S.intersection(T)
+    assert set(meet.elements()) == span_s & span_t
+    assert S.sum(T).order() == len(_closure(M, g1 + g2))
+    assert meet.index_in(S) == len(span_s) // len(span_s & span_t)
+
+
+def test_subgroup_rejects_rows_of_the_wrong_length():
+    for moduli in ((4, 6), (0, 6)):
+        M = FgGroup(moduli)
+        for row in ([1, 2, 3], [1]):
+            with pytest.raises(GroupError, match="need 2 coordinates"):
+                Subgroup(M, [row])
 
 
 def test_classification_counts():

@@ -2,12 +2,18 @@ import itertools
 import math
 import random
 
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
 from pptor.intlinalg import (
     congruence_lattice,
     det,
+    hermite_mod,
     hermite_row_basis,
     identity_matrix,
     in_lattice,
+    intersection_mod,
     kernel_basis,
     lattice_coords,
     lattice_index,
@@ -156,3 +162,88 @@ def test_modular_distributivity_random():
         assert hermite_row_basis(right) == hermite_row_basis(right)
         for row in right:
             assert in_lattice(left, row)
+
+
+def _diag(moduli):
+    return [[m if j == i else 0 for j in range(len(moduli))]
+            for i, m in enumerate(moduli)]
+
+
+_entries = st.one_of(st.integers(-20, 20), st.integers(-10**7, 10**7))
+_modulus = st.one_of(st.integers(1, 12), st.integers(10**6, 10**6 + 7))
+
+
+def _moduli(n):
+    return st.lists(_modulus, min_size=n, max_size=n)
+
+
+def _rows(n, max_rows=5, entries=_entries):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), max_size=max_rows)
+
+
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(_moduli(n), _rows(n))))
+@example(([1, 10**6, 4], [[-3, 999_999, 7], [5, -2 * 10**6 - 1, -4]]))
+@example(([1, 1], [[-1, 5]]))
+@example(([], [[]]))
+def test_hermite_mod_is_hermite_with_relations(case):
+    moduli, rows = case
+    H = hermite_mod(rows, moduli)
+    assert H == hermite_row_basis(rows + _diag(moduli))
+    assert len(H) == len(moduli)
+    assert all(H[i][i] > 0 and moduli[i] % H[i][i] == 0 for i in range(len(H)))
+
+
+def test_hermite_mod_rejects_bad_input():
+    for row in ([1, 2, 3], [1]):
+        with pytest.raises(ValueError, match="length"):
+            hermite_mod([row], (4, 6))
+    with pytest.raises(ValueError, match="moduli"):
+        hermite_mod([[1, 2]], (4, 0))
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    _rows(n).filter(bool), _moduli(n) | st.none())), st.data())
+def test_hermite_invariant_under_unimodular_change(case, data):
+    """Shuffling the generators, adding a multiple of one to another and
+    negating one leave the lattice, hence its HNF, unchanged."""
+    rows, moduli = case
+    k = len(rows)
+    new = [rows[i][:] for i in data.draw(st.permutations(range(k)))]
+    steps = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1),
+                      st.integers(-3, 3))
+    for i, j, c in data.draw(st.lists(steps, max_size=6)):
+        if i == j:
+            new[i] = [-a for a in new[i]]
+        else:
+            new[j] = [a + c * b for a, b in zip(new[j], new[i])]
+    assert hermite_row_basis(new) == hermite_row_basis(rows)
+    if moduli is not None:
+        assert hermite_mod(new, moduli) == hermite_mod(rows, moduli)
+
+
+def _intersection_reference(b1, b2):
+    """L1 ∩ L2 from the integer kernel of [b1^T | -b2^T]: x·b1 = y·b2."""
+    n, k1 = len(b1[0]), len(b1)
+    A = [[b1[i][c] for i in range(k1)] + [-r[c] for r in b2] for c in range(n)]
+    return hermite_row_basis(
+        [[sum(x[i] * b1[i][c] for i in range(k1)) for c in range(n)]
+         for x in kernel_basis(A)])
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    *[_rows(n, 3, st.integers(-6, 6)).filter(bool)] * 2)))
+@example(([[1, 0, 0]], [[0, 1, 0]]))  # intersection {0}
+@example(([[2, 4, 0], [0, 0, 0]], [[3, 6, 0]]))
+def test_zassenhaus_intersection_matches_kernel_reference(case):
+    b1, b2 = case
+    meet = lattice_intersection(b1, b2)
+    assert meet == _intersection_reference(b1, b2)
+    assert all(in_lattice(hermite_row_basis(b), v) for b in case for v in meet)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(_moduli(n), _rows(n, 3), _rows(n, 3))))
+def test_intersection_mod_matches_lattice_intersection(case):
+    moduli, r1, r2 = case
+    L1, L2 = hermite_mod(r1, moduli), hermite_mod(r2, moduli)
+    assert intersection_mod(L1, L2, moduli) == lattice_intersection(L1, L2)
