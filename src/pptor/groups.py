@@ -74,6 +74,7 @@ class FgGroup:
             raise GroupError("moduli must be nonnegative")
         self.moduli = moduli
         self._canonical = None
+        self._full = None
 
     @property
     def rank(self) -> int:
@@ -175,9 +176,11 @@ class FgGroup:
         return Subgroup.from_generators(self, gens)
 
     def full_subgroup(self) -> "Subgroup":
-        g = self.rank
-        return Subgroup(self, [[1 if j == i else 0 for j in range(g)]
-                               for i in range(g)])
+        if self._full is None:
+            g = self.rank
+            self._full = Subgroup(self, [[1 if j == i else 0 for j in range(g)]
+                                         for i in range(g)])
+        return self._full
 
     def zero_subgroup(self) -> "Subgroup":
         return Subgroup(self, self.relation_basis)

@@ -1,5 +1,5 @@
 """Exact integer matrix algebra: Smith and Hermite normal forms, kernels,
-Diophantine solving, and row-lattice arithmetic.
+Diophantine solving, systems of congruences, and row-lattice arithmetic.
 
 Everything here works on plain Python ints (arbitrary precision); matrices
 are lists of lists.  Pivoting is deterministic (smallest absolute value,
@@ -9,6 +9,12 @@ ties broken by lowest index) so all outputs are reproducible.
 diag(m) with every m_i ≥ 1 (the subgroups of a finite group) take the
 finite-ambient path: ``hermite_mod`` builds the same square HNF with entries
 reduced modulo m, and ``intersection_mod`` intersects two of them.
+
+Congruence systems come in two shapes.  ``congruence_lattice`` solves
+A·x ≡ 0 with a modulus per row, through one slack column per nonzero
+modulus.  ``solve_congruence_columns`` solves A·x ≡ b_j (mod t_j) for many
+right-hand sides of one A, each with its own modulus: one Smith form of A
+serves every column, and each column is then read off row by row.
 """
 
 from __future__ import annotations
@@ -362,12 +368,40 @@ def congruence_lattice(A: Matrix, moduli, keep: int) -> list[list[int]]:
         [vec[:keep] for vec in kernel_basis(_with_slack(A, moduli))])
 
 
-def solve_congruences(A: Matrix, b, moduli) -> list[int] | None:
-    """One x with A·x ≡ b, row i modulo moduli[i] (modulus 0: exactly), or
-    None; a system with no rows has the empty solution."""
+def solve_congruence_columns(A: Matrix, rhs, moduli) -> list[list[int]] | None:
+    """Column j of the answer is one x with A·x ≡ rhs[j] modulo moduli[j]
+    (modulus 0: exactly); None when some column has no solution.  A system
+    with no rows is solved by the empty vector.
+
+    All columns share one Smith form U·A·V = S = diag(s_i).  U is
+    unimodular, so A·x ≡ b (mod t) ⟺ s_i·y_i ≡ c_i (mod t) for every row i,
+    with c = U·b and x = V·y.  A row with s_i ≠ 0 is solvable iff
+    g = gcd(s_i, t) divides c_i, and then y_i = (c_i/g)·(s_i/g)⁻¹ mod t/g
+    (for t = 0, y_i = c_i/s_i exactly); a row past the rank needs
+    c_i ≡ 0 (mod t).  (Cohen, GTM 138, §2.4.3.)
+    """
     n = len(A[0]) if A else 0
-    sol = solve_diophantine(_with_slack(A, moduli), b)
-    return None if sol is None else sol[:n]
+    U, S, V = smith_normal_form(A)
+    diag = [S[i][i] if i < n else 0 for i in range(len(A))]
+    cols = []
+    for b, t in zip(rhs, moduli):
+        y = [0] * n
+        for i, (u, s) in enumerate(zip(U, diag)):
+            c = sum(a * x for a, x in zip(u, b))
+            if s == 0:
+                if (c % t if t else c):
+                    return None
+                continue
+            g = gcd(s, t)
+            if c % g:
+                return None
+            if t:
+                tg = t // g
+                y[i] = c // g * pow(s // g, -1, tg) % tg
+            else:
+                y[i] = c // s
+        cols.append(mat_vec(V, y))
+    return cols
 
 
 def lattice_sum(*bases) -> list[list[int]]:

@@ -30,7 +30,12 @@ from .groups import (
     direct_sum,
     factorize,
 )
-from .intlinalg import congruence_lattice, in_lattice, lattice_sum, solve_congruences
+from .intlinalg import (
+    congruence_lattice,
+    in_lattice,
+    lattice_sum,
+    solve_congruence_columns,
+)
 
 
 class PpSolveError(ValueError):
@@ -119,10 +124,11 @@ def find_constrained_hom(source: FgGroup, target: FgGroup, constraints):
     constraints (elements, or coordinate sequences), or None.
 
     Entry j of f(v) is Σ_i v_i·x_{i,j} and is taken modulo target modulus
-    t_j alone, so column j of the matrix is its own system of congruences
-    modulo t_j, in r1 unknowns: v·x ≡ w_j for v = d_i·e_i, w = 0 (so that f
-    is well defined) and for each constraint.  The columns are solved one
-    at a time.
+    t_j alone, so column j of the matrix solves A·x ≡ w_j (mod t_j) in r1
+    unknowns.  The rows of A are the same for every column: d_i·e_i with
+    w = 0 (so that f is well defined) and the source side of each
+    constraint.  Only w_j and t_j change from column to column, so one
+    Smith form of A solves them all (intlinalg.solve_congruence_columns).
     """
     r1, r2 = source.rank, target.rank
     pairs = [([d if k == i else 0 for k in range(r1)], [0] * r2)
@@ -130,13 +136,11 @@ def find_constrained_hom(source: FgGroup, target: FgGroup, constraints):
     pairs += [(_coords(a, source), _coords(b, target)) for a, b in constraints]
     if not pairs:  # no conditions at all: the zero map is one answer
         return Homomorphism(source, target, [[0] * r2 for _ in range(r1)])
-    A = [list(v) for v, _ in pairs]
-    cols = []
-    for j, t in enumerate(target.moduli):
-        col = solve_congruences(A, [w[j] for _, w in pairs], [t] * len(pairs))
-        if col is None:
-            return None
-        cols.append(col)
+    cols = solve_congruence_columns(
+        [list(v) for v, _ in pairs],
+        [[w[j] for _, w in pairs] for j in range(r2)], target.moduli)
+    if cols is None:
+        return None
     return Homomorphism(source, target, [[col[i] for col in cols]
                                          for i in range(r1)])
 
@@ -271,6 +275,8 @@ def hom_oracle_equal(a1: Element, M1: Subgroup, N1: FgGroup,
     partial map extends to a homomorphism, and conversely homomorphisms
     preserve pp-formulas.
     """
+    if M1.ambient != N1 or M2.ambient != N2:
+        raise PpSolveError("parameter subgroup not inside its ambient group")
     M1g, emb1 = M1.as_group_with_embedding()
     M2g, emb2 = M2.as_group_with_embedding()
     if M1g.moduli != M2g.moduli:
@@ -305,14 +311,14 @@ def _pure_embeddings(M: FgGroup, N: FgGroup):
 
 
 # count_types enumerates every group of order ≤ bound, every pure embedding
-# of M into it and every element: bound 32 takes about a second over M = 0,
-# while 200 runs for longer than 20 s.  Larger bounds are refused.
+# of M into it and every element: bound 32 takes under half a second over
+# M = 0, while 200 runs for longer than 20 s.  Larger bounds are refused.
 MAX_TYPES_BOUND = 32
 # The candidate embeddings M → N number Π_i |N[d_i]| for M = ⊕ ℤ/d_i, summed
 # over the groups N.  Within the bound, the largest accepted input,
-# (Z/2)^2 at bound 31 (660 candidates), takes about 8 s with the oracle;
-# (Z/5)^2 at 32 (847) takes 19 s, (Z/3)^2 at 32 (1,127) 30 s and (Z/2)^3
-# at 32 (44,316) longer still.  More candidates are refused.
+# (Z/2)^2 at bound 31 (660 candidates), takes about 3.5 s with the oracle;
+# (Z/5)^2 at 32 (847) takes 10 s, (Z/3)^2 at 32 (1,127) 12 s and (Z/2)^3
+# at 32 (44,316) more than 60 s.  More candidates are refused.
 MAX_TYPES_CANDIDATES = 800
 
 

@@ -88,6 +88,8 @@ def purity_witness(H: Subgroup, M: FgGroup):
 def is_pure_via_splitting(H: Subgroup, M: FgGroup) -> bool:
     """Independent decision: H is pure in a f.g. group iff it is a direct
     summand, iff a retraction M → H exists."""
+    if H.ambient != M:
+        raise GroupError("subgroup of a different group")
     return _retraction(H, M) is not None
 
 

@@ -74,6 +74,15 @@ def test_subgroup_canonical_under_generator_shuffle():
         assert S1 == S2
 
 
+def test_full_subgroup_is_built_once():
+    for M in (FgGroup((4, 6)), FgGroup((0, 2)), FgGroup(())):
+        full = M.full_subgroup()
+        assert full is M.full_subgroup()
+        assert full == Subgroup(M, [[1 if j == i else 0 for j in range(M.rank)]
+                                    for i in range(M.rank)])
+        assert full.order() == M.order()
+
+
 def test_lagrange_and_quotient():
     rng = random.Random(7)
     for _ in range(100):

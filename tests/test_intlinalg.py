@@ -22,7 +22,7 @@ from pptor.intlinalg import (
     mat_mul,
     smith_normal_form,
     snf_diagonal,
-    solve_congruences,
+    solve_congruence_columns,
     solve_diophantine,
 )
 
@@ -99,6 +99,18 @@ def _solves(A, x, b, moduli):
                for row, c, m in zip(A, b, moduli))
 
 
+def _solve_rows(A, b, moduli):
+    """One x with A·x ≡ b, row i modulo moduli[i], or None: the exact
+    system [A | diag(nonzero moduli)]·(x, slack) = b, solved as one column
+    of modulus 0."""
+    n = len(A[0])
+    slack = [i for i, m in enumerate(moduli) if m]
+    rows = [list(row) + [moduli[i] if k == i else 0 for k in slack]
+            for i, row in enumerate(A)]
+    cols = solve_congruence_columns(rows, [b], [0])
+    return None if cols is None else cols[0][:n]
+
+
 def test_congruence_systems_against_enumeration():
     rng = random.Random(5)
     for trial in range(150):
@@ -125,10 +137,10 @@ def test_congruence_systems_against_enumeration():
         rest = [row[keep:] for row in A]
         for r in L:  # each basis row extends to a solution
             b = [-sum(a * v for a, v in zip(row, r)) for row in A]
-            y = solve_congruences(rest, b, moduli)
+            y = _solve_rows(rest, b, moduli)
             assert y is not None and _solves(A, list(r) + y, [0] * nrows, moduli)
         b = [rng.randint(-6, 6) for _ in range(nrows)]
-        x = solve_congruences(A, b, moduli)
+        x = _solve_rows(A, b, moduli)
         if x is None:
             assert not any(_solves(A, y, b, moduli)
                            for y in itertools.product(box, repeat=ncols))
@@ -136,7 +148,46 @@ def test_congruence_systems_against_enumeration():
             assert len(x) == ncols and _solves(A, x, b, moduli)
     # a system with no rows
     assert congruence_lattice([], [], 2) == identity_matrix(2)
-    assert solve_congruences([], [], []) == []
+    assert solve_congruence_columns([], [[], []], [2, 0]) == [[], []]
+
+
+@st.composite
+def _congruence_columns(draw):
+    """A (0–3 rows, 1–3 columns, entries up to ±6, some rows zero) and 1–3
+    right-hand sides, each with its own modulus."""
+    ncols = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols)
+    A = draw(st.lists(st.one_of(st.just([0] * ncols), row), max_size=3))
+    moduli = draw(st.lists(st.sampled_from((0, 1, 2, 3, 4, 6, 8)),
+                           min_size=1, max_size=3))
+    rhs = [draw(st.lists(st.integers(-6, 6), min_size=len(A),
+                         max_size=len(A))) for _ in moduli]
+    return A, rhs, moduli
+
+
+@given(_congruence_columns())
+@example(([[2], [0], [0]], [[2, 0, 1]], [4]))
+@example(([[4, 2], [6, 0]], [[2, 0], [1, 1]], [6, 8]))
+def test_congruence_columns_against_enumeration(case):
+    A, rhs, moduli = case
+    n = len(A[0]) if A else 0
+    cols = []
+    for b, t in zip(rhs, moduli):
+        col = solve_congruence_columns(A, [b], [t])
+        if col is None:
+            box = range(t) if t else range(-8, 9)
+            assert not any(_solves(A, x, b, [t] * len(A))
+                           for x in itertools.product(box, repeat=n))
+        else:
+            (x,) = col
+            assert len(x) == n and _solves(A, x, b, [t] * len(A))
+        cols.append(col)
+    # all columns at once: the same columns, or None when one has none
+    together = solve_congruence_columns(A, rhs, moduli)
+    if None in cols:
+        assert together is None
+    else:
+        assert together == [x for (x,) in cols]
 
 
 def test_sum_intersection_index():

@@ -258,3 +258,12 @@ def test_count_types_oracle_disagreement_raises(monkeypatch):
     monkeypatch.setattr(ppsolve, "_oracle_equal_emb", lambda *args: False)
     with pytest.raises(ppsolve.PpSolveError, match="disagree"):
         ppsolve.count_types(FgGroup(()), 4, use_oracle=True)
+
+
+def test_hom_oracle_rejects_parameters_of_another_group():
+    Z2, Z4, Z6 = FgGroup((2,)), FgGroup((4,)), FgGroup((6,))
+    foreign = (Z2.element([1]), Subgroup(Z4, [[2]]), Z2)
+    own = (Z6.element([3]), Subgroup(Z6, [[3]]), Z6)
+    for args in (foreign + own, own + foreign):
+        with pytest.raises(ppsolve.PpSolveError):
+            ppsolve.hom_oracle_equal(*args)

@@ -1,11 +1,13 @@
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pptor import corpus, purity
 from pptor.groups import (
     FgGroup,
+    GroupError,
     Subgroup,
     abelian_groups_upto,
     all_subgroups,
@@ -88,6 +90,12 @@ def test_pure_iff_splitting_exhaustive_small():
     for M in abelian_groups_upto(16):
         for H in all_subgroups(M):
             assert purity.is_pure(H, M) == purity.is_pure_via_splitting(H, M)
+
+
+def test_splitting_rejects_subgroup_of_another_group():
+    H = Subgroup(FgGroup((4,)), [[2]])
+    with pytest.raises(GroupError, match="different group"):
+        purity.is_pure_via_splitting(H, FgGroup((2,)))
 
 
 def test_complement_properties():
