@@ -15,6 +15,7 @@ A·x ≡ 0 with a modulus per row, through one slack column per nonzero
 modulus.  ``solve_congruence_columns`` solves A·x ≡ b_j (mod t_j) for many
 right-hand sides of one A, each with its own modulus: one Smith form of A
 serves every column, and each column is then read off row by row.
+``solve_diophantine`` is its one-column, modulus-0 case.
 """
 
 from __future__ import annotations
@@ -322,24 +323,8 @@ def kernel_basis(A: Matrix) -> list[list[int]]:
 
 def solve_diophantine(A: Matrix, b: list[int]) -> list[int] | None:
     """One integer solution x of A x = b, or None if unsolvable."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if m == 0:
-        return [0] * n
-    U, S, V = smith_normal_form(A)
-    c = mat_vec(U, b)
-    y = [0] * n
-    for i in range(m):
-        s = S[i][i] if i < min(m, n) else 0
-        if s == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % s:
-                return None
-            if i < n:
-                y[i] = c[i] // s
-    return mat_vec(V, y)
+    cols = solve_congruence_columns(A, [b], [0])
+    return None if cols is None else cols[0]
 
 
 def _with_slack(A: Matrix, moduli) -> Matrix:

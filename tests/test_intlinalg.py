@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pptor.intlinalg import (
+    _with_slack,
     congruence_lattice,
     det,
     hermite_mod,
@@ -103,12 +104,8 @@ def _solve_rows(A, b, moduli):
     """One x with A·x ≡ b, row i modulo moduli[i], or None: the exact
     system [A | diag(nonzero moduli)]·(x, slack) = b, solved as one column
     of modulus 0."""
-    n = len(A[0])
-    slack = [i for i, m in enumerate(moduli) if m]
-    rows = [list(row) + [moduli[i] if k == i else 0 for k in slack]
-            for i, row in enumerate(A)]
-    cols = solve_congruence_columns(rows, [b], [0])
-    return None if cols is None else cols[0][:n]
+    cols = solve_congruence_columns(_with_slack(A, moduli), [b], [0])
+    return None if cols is None else cols[0][:len(A[0])]
 
 
 def test_congruence_systems_against_enumeration():
