@@ -248,18 +248,11 @@ def parse(text: str) -> PpFormula:
 # printing
 
 
-def _render_lincomb(terms: LinComb, keep_zero: set = frozenset()) -> str:
-    # zero terms render as if absent, except one kept occurrence per
-    # variable that appears nowhere with a nonzero coefficient (so the
-    # printed formula declares the same variables)
-    kept = []
-    seen_zero = set()
-    for c, v in terms:
-        if c != 0:
-            kept.append((c, v))
-        elif v in keep_zero and v not in seen_zero:
-            seen_zero.add(v)
-            kept.append((c, v))
+def _render_lincomb(terms: LinComb, where: tuple[int, int], keep: set) -> str:
+    # zero terms render as if absent, except those whose position
+    # (equation, side, term) is in keep
+    kept = [(c, v) for j, (c, v) in enumerate(terms)
+            if c != 0 or (*where, j) in keep]
     if not kept:
         return "0"
     parts = []
@@ -277,13 +270,42 @@ def _render_lincomb(terms: LinComb, keep_zero: set = frozenset()) -> str:
     return " ".join(parts)
 
 
+def _kept_zero_terms(f: PpFormula) -> set[tuple[int, int, int]]:
+    """Positions (equation, side, term) of the zero terms print_formula keeps.
+
+    It keeps the first occurrence of a variable that appears nowhere with a
+    nonzero coefficient, so the printed formula declares the same variables.
+    parse orders the free variables by first appearance, so it also keeps
+    the first occurrence of a free variable whose first nonzero term comes
+    after the printed first appearance of the next free variable.
+    """
+    first, first_nonzero = {}, {}
+    for i, eq in enumerate(f.equations):
+        for s, side in enumerate((eq.lhs, eq.rhs)):
+            for j, (c, v) in enumerate(side):
+                if v is not None:
+                    first.setdefault(v, (i, s, j))
+                    if c != 0:
+                        first_nonzero.setdefault(v, (i, s, j))
+    keep = {pos for v, pos in first.items() if v not in first_nonzero}
+    shown = None  # printed first appearance of the next free variable
+    for v in reversed(f.free_vars):
+        if v not in first:
+            continue
+        pos = first_nonzero.get(v, first[v])
+        if shown is not None and pos > shown:
+            pos = first[v]
+            keep.add(pos)
+        shown = pos
+    return keep
+
+
 def print_formula(f: PpFormula) -> str:
-    nonzero = {v for eq in f.equations for c, v in eq.lhs + eq.rhs
-               if c != 0 and v is not None}
-    vacuous = (set(f.free_vars) | set(f.bound_vars)) - nonzero
+    keep = _kept_zero_terms(f)
     body = " & ".join(
-        f"{_render_lincomb(eq.lhs, vacuous)} = {_render_lincomb(eq.rhs, vacuous)}"
-        for eq in f.equations
+        f"{_render_lincomb(eq.lhs, (i, 0), keep)} = "
+        f"{_render_lincomb(eq.rhs, (i, 1), keep)}"
+        for i, eq in enumerate(f.equations)
     )
     if len(f.equations) > 1 and f.bound_vars:
         body = f"({body})"

@@ -1,27 +1,32 @@
 """Brute-force pp-formula solution enumeration.
 
-Independent oracle for ppsolve.evaluate: enumerates every assignment of the
-bound variables to group elements, records the reachable values of D·ȳ, and
-then tests each free assignment directly.  No Smith-normal-form shortcuts.
+Independent oracle for ppsolve.evaluate: builds the set of reachable values
+of D·ȳ as a table of flags, then tests each free assignment directly.  No
+Smith or Hermite normal forms, and nothing shared with intlinalg or ppsolve.
 
 M = ⊕ ℤ/m_c adds coordinatewise, so C·x̄ + D·ȳ = 0 holds in M exactly when
 it holds in every coordinate, and coordinate c of D·ȳ depends only on
 coordinate c of each y.  The solution set is therefore the product of the
 solution sets over the cyclic factors ℤ/m_c.  The rank-1 kernel
-_cyclic_codes enumerates one modulus on tables of m^neq codes instead of
-|M|^neq, once per distinct modulus of M, and the per-factor codes are
-combined by a Cartesian sum of their mixed-radix weights.  Everything runs
-in numpy.
+_cyclic_codes solves one modulus on a table of m^neq flags instead of
+|M|^neq, and the per-factor codes are combined by a Cartesian sum of their
+mixed-radix weights.  The per-factor codes depend only on (C, D, m), so
+they are cached across calls and shared by every group with a factor ℤ/m.
+Everything runs in numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 
-# table sizes are |M|^eqs and |M|^nvars; keep them in int64/memory range
+# _check_sizes caps |M|^neq, |M|^nfree and |M|^nbound at this: a factor's
+# flag table has m^neq ≤ |M|^neq cells and the solution codes number at
+# most |M|^nfree, so tables and codes stay in memory and int64 range; the
+# cap on |M|^nbound keeps the inputs the oracle accepts as they were
 _MAX_TABLE = 1 << 26
 
 
@@ -44,42 +49,49 @@ def _element_table(moduli: list[int], order: int) -> np.ndarray:
     return grid.reshape(len(moduli), order)[::-1].T
 
 
+@functools.lru_cache(maxsize=4096)
 def _cyclic_codes(C, D, m: int) -> np.ndarray:
     """Ascending codes Σ_v x_v·m^v of the x̄ ∈ (ℤ/m)^nfree with
     C·x̄ + D·ȳ = 0 for some ȳ ∈ (ℤ/m)^nbound.
 
-    C and D are lists of integer rows.  A value vector u ∈ (ℤ/m)^neq has
-    the code Σ_e u_e·m^e.  The reachable set R of D·ȳ is built one bound
-    variable at a time, R ← R + {g·d : g ∈ ℤ/m} with d = D[:, b], in a
-    table of m^neq flags; both summands contain 0, so the table holds
-    exactly the current R.  R is a sum of cyclic subgroups, hence a
-    subgroup, so a step with d ∈ R leaves it as it is.  The multiples g·d
-    for g < m / gcd(m, d) are all distinct, so every other step forms each
-    sum exactly once.  Then every free assignment is tested for −C·x̄ ∈ R.
+    C and D are tuples of integer rows; the answer depends on nothing but
+    (C, D, m), so it is cached and returned read-only.  A value vector
+    u ∈ (ℤ/m)^neq has the code Σ_e u_e·m^e: the flag table has shape
+    (m,)*neq with axis a holding coordinate neq−1−a, so a cell's flat
+    index is its code.  The reachable set R of D·ȳ starts as {0} and takes
+    one bound variable at a time, R ← R + ⟨d⟩ with d = D[:, b].  R is a
+    subgroup, so a step with d ∈ R leaves it as it is.  Otherwise, with
+    k = m / gcd(m, d), the step ORs the table with its cyclic shift by g·d
+    for g = 1, 2, 4, … while g < k: R + {0..2g−1}·d is
+    (R + {0..g−1}·d) + {0, g·d}, and k·d = 0, so the last shift leaves
+    R + ⟨d⟩.  Then every free assignment is tested for −C·x̄ ∈ R.
     """
     neq = len(C)
     nfree, nbound = len(C[0]), len(D[0])
     weights = m ** np.arange(neq, dtype=np.int64)
-    table = np.zeros(m ** neq, dtype=np.bool_)
-    table[0] = True
-    reach = np.zeros((1, neq), dtype=np.int64)
+    table = np.zeros((m,) * neq, dtype=np.bool_)
+    flat = table.reshape(-1)
+    flat[0] = True
+    axes = tuple(range(neq))
     for b in range(nbound):
-        d = np.asarray([int(row[b]) % m for row in D], dtype=np.int64)
-        if table[d @ weights]:
+        d = np.asarray([row[b] % m for row in D], dtype=np.int64)
+        if flat[d @ weights]:
             continue
         k = m // math.gcd(m, *d.tolist())
-        step = np.arange(k, dtype=np.int64)[:, None] * d % m
-        sums = (reach[:, None, :] + step[None, :, :]) % m
-        table[sums.reshape(-1, neq) @ weights] = True
-        if b + 1 < nbound:
-            reach = np.flatnonzero(table)[:, None] // weights % m
+        g = 1
+        while g < k:
+            table |= np.roll(table, tuple(g * d[::-1] % m), axis=axes)
+            g *= 2
     if nfree == 0:
-        return np.zeros(1, dtype=np.int64)  # 0 ∈ R: the empty assignment solves
-    Cm = np.asarray([[int(c) % m for c in row] for row in C], dtype=np.int64)
-    digits = np.arange(m ** nfree, dtype=np.int64)[:, None] \
-        // m ** np.arange(nfree, dtype=np.int64) % m
-    target = -(digits @ Cm.T) % m
-    return np.flatnonzero(table[target @ weights])
+        codes = np.zeros(1, dtype=np.int64)  # 0 ∈ R: the empty assignment solves
+    else:
+        Cm = np.asarray([[c % m for c in row] for row in C], dtype=np.int64)
+        digits = np.arange(m ** nfree, dtype=np.int64)[:, None] \
+            // m ** np.arange(nfree, dtype=np.int64) % m
+        target = -(digits @ Cm.T) % m
+        codes = np.flatnonzero(flat[target @ weights])
+    codes.setflags(write=False)
+    return codes
 
 
 def brute_force_solutions(C, D, moduli) -> list[tuple[tuple[int, ...], ...]]:
@@ -116,8 +128,8 @@ def brute_force_codes(C, D, moduli):
     order^v·stride_c, stride_c = m_0⋯m_{c−1}, so the solution set of M is
     the Cartesian sum of the per-factor solution sets, each reweighted.
     """
-    C = [list(r) for r in C]
-    D = [list(r) for r in D]
+    C = tuple(tuple(int(c) for c in r) for r in C)
+    D = tuple(tuple(int(c) for c in r) for r in D)
     moduli = [int(m) for m in moduli]
     if any(m < 1 for m in moduli):
         raise ValueError("brute force requires a finite group (moduli >= 1)")
@@ -132,17 +144,14 @@ def brute_force_codes(C, D, moduli):
     if neq == 0 or rank == 0:
         # no constraints (or trivial group): everything is a solution
         return np.arange(order ** nfree, dtype=np.int64), elem, nfree, order
-    if rank == 1:
-        return _cyclic_codes(C, D, moduli[0]), elem, nfree, order
 
+    # the sum below always builds a fresh array, so no caller ever holds
+    # a cached per-factor array
     powers = np.arange(nfree, dtype=np.int64)
-    per_modulus: dict[int, np.ndarray] = {}
     sols = np.zeros(1, dtype=np.int64)
     stride = 1
     for m in moduli:
-        if m not in per_modulus:
-            per_modulus[m] = _cyclic_codes(C, D, m)
-        codes = per_modulus[m]
+        codes = _cyclic_codes(C, D, m)
         digits = codes[:, None] // m ** powers % m
         reweighted = digits @ (order ** powers * stride)
         sols = (sols[:, None] + reweighted[None, :]).ravel()

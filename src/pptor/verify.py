@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from . import cardinals as C
-from . import chains, corpus, invariants, ppsolve, purity
+from . import chains, corpus, invariants, kernels, ppsolve, purity
 from .formulas import is_low, normalize, scalar_formula, sum_formulas
 from .groups import (
     FgGroup,
@@ -57,6 +57,7 @@ def check_evaluation_oracle():
     formulas = [corpus.random_formula(rng) for _ in range(500)]
     groups = abelian_groups_upto(64)
     pairs = 0
+    before = kernels._cyclic_codes.cache_info()
     for f in formulas:
         mf = normalize(f)
         nfree = len(f.free_vars)
@@ -75,7 +76,10 @@ def check_evaluation_oracle():
                 if j >= len(sols) or sols[j] != code:
                     return False, f"extra generator {assign} for {f} on {M}"
             pairs += 1
-    return True, f"{len(formulas)} formulas × {len(groups)} groups = {pairs} pairs"
+    after = kernels._cyclic_codes.cache_info()
+    return True, (f"{len(formulas)} formulas × {len(groups)} groups = {pairs} "
+                  f"pairs; oracle tables: {after.misses - before.misses} built, "
+                  f"{after.hits - before.hits} reused")
 
 
 @_timed

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pptor import corpus
 from pptor.formulas import (
@@ -69,6 +71,40 @@ def test_print_parse_roundtrip_random():
         C2 = tuple(tuple(row[j] for j in fmap) for row in m2.C)
         D2 = tuple(tuple(row[j] for j in bmap) for row in m2.D)
         assert (m1.C, m1.D) == (C2, D2)
+
+
+@st.composite
+def _formula_texts(draw):
+    """Formula text over x0..x3 and y0, y1 with coefficients in -3..3, zero
+    included; a side with no terms is written 0."""
+    bound = draw(st.lists(st.sampled_from(["y0", "y1"]), unique=True,
+                          max_size=2))
+    names = st.sampled_from(["x0", "x1", "x2", "x3", *bound])
+    term = st.tuples(st.integers(-3, 3), names)
+
+    def side():
+        terms = draw(st.lists(term, max_size=3))
+        text = " ".join(f"{'-' if c < 0 else '+'} {abs(c)}*{v}"
+                        for c, v in terms).removeprefix("+ ")
+        return text or "0"
+
+    eqs = [f"{side()} = {side()}"
+           for _ in range(draw(st.integers(1, 3)))]
+    body = " & ".join(eqs)
+    return f"E {' '.join(bound)} . {body}" if bound else body
+
+
+@example("0*x0 + x1 = 0 & x0 = 2*x1")
+@given(_formula_texts())
+def test_print_parse_roundtrip_keeps_variable_order(text):
+    f = parse(text)
+    g = parse(print_formula(f))
+    # printing drops zero terms that change neither the variables nor
+    # their order of first appearance
+    assert (g.free_vars, g.bound_vars) == (f.free_vars, f.bound_vars)
+    assert normalize(g) == normalize(f)
+    if all(c != 0 for eq in f.equations for c, v in eq.lhs + eq.rhs if v):
+        assert g == f
 
 
 def test_normalize_shapes():

@@ -45,6 +45,13 @@ def test_parse_group_dsl():
             parse_group(text)
 
 
+@given(st.lists(st.one_of(st.just(0), st.integers(1, 10**12)),
+                max_size=MAX_RANK))
+def test_parse_group_roundtrip(moduli):
+    G = FgGroup(tuple(moduli))
+    assert parse_group(str(G)).moduli == G.moduli
+
+
 def test_element_arithmetic():
     M = FgGroup((4, 2))
     a = M.element([3, 1])

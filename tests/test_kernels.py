@@ -57,8 +57,8 @@ def test_against_naive_reference():
         M = corpus.random_group(rng, max_rank=2,
                                 moduli_pool=(2, 3, 4), free_ok=False)
         _assert_matches_naive(f, M)
-    # three bound variables reach the third step of the per-variable
-    # reachable-set loop; cyclic groups keep the triple loop fast
+    # three bound variables reach the third widening of the reachable set
+    # by cyclic shifts; cyclic groups keep the triple loop fast
     rng = random.Random(18)
     cases = 0
     while cases < 20:
@@ -85,6 +85,38 @@ def test_against_naive_reference():
             continue
         _assert_matches_naive(f, M)
         cases += 1
+    # the reachable set grows by doubling its shift of each bound column d
+    # until it covers the k = m / gcd(m, d) multiples of d; moduli 5-9 make
+    # k other than a power of two
+    rng = random.Random(38)
+    cases = 0
+    while cases < 30:
+        f = corpus.random_formula(rng, max_free=2, max_bound=3)
+        m = rng.randint(5, 9)
+        nvars = len(f.free_vars) + len(f.bound_vars)
+        if len(f.bound_vars) < 2 or m ** nvars > 10_000:
+            continue
+        _assert_matches_naive(f, FgGroup((m,)))
+        cases += 1
+
+
+def test_returned_codes_are_not_shared():
+    # per-factor codes are cached; a caller's array must be its own
+    C, D, moduli = [[1, 2]], [[3]], (6,)
+    want = brute_force_codes(C, D, moduli)[0].copy()
+    got = brute_force_codes(C, D, moduli)[0]
+    got[:] = -1
+    assert np.array_equal(brute_force_codes(C, D, moduli)[0], want)
+
+
+def test_cached_codes_depend_on_every_input():
+    # C, D and m each change the answer of the per-factor kernel
+    cases = [([[1]], [[0]], (4,)), ([[1]], [[2]], (4,)),
+             ([[1]], [[0]], (5,)), ([[2]], [[0]], (4,))]
+    for _ in range(2):
+        for C, D, moduli in cases:
+            assert brute_force_solutions(C, D, moduli) \
+                == naive_solutions(C, D, moduli)
 
 
 def test_codes_strictly_ascending():
