@@ -262,7 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--oracle", action="store_true",
                    help="also confirm every descriptor match with the "
-                        "homomorphism oracle (an error if they disagree)")
+                        "homomorphism oracle (an error if they disagree); "
+                        "matches are among the standard embeddings "
+                        "M → M ⊕ C, one per extension, since a pure "
+                        "subgroup of a finite group is a direct summand")
     p.set_defaults(fn=cmd_types)
 
     p = sub.add_parser("ulm", help="Ulm invariants α_{p,n} and rank γ")

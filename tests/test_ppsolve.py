@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import assume, given
@@ -206,13 +207,34 @@ def test_descriptor_rejects_impure_base():
         ppsolve.pp_type_descriptor(N.element([1]), S, N)
 
 
+def _pure_embeddings(M: FgGroup, N: FgGroup):
+    """All pure embeddings M → N as (image Subgroup, emb) with emb a row of
+    ambient coordinates per coordinate of M."""
+    for h in ppsolve.enumerate_homs(M, N):
+        S = h.image()
+        if S.order() == M.order() and is_pure(S, N):
+            yield S, h.matrix
+
+
+def _count_types_all_embeddings(M: FgGroup, bound: int) -> int:
+    """Reference for count_types: classify every element of every group N
+    of order ≤ bound over every pure embedding of M into N."""
+    types = set()
+    for N in abelian_groups_upto(bound):
+        for S, emb in _pure_embeddings(M, N):
+            for a in N.elements():
+                types.add(ppsolve.pp_type_descriptor(
+                    a, S, N, check_purity=False, identification=(M, emb)))
+    return len(types)
+
+
 def test_pure_embedding_counts():
     cases = [((2,), (4, 2), 2), ((2,), (2, 2), 3), ((4,), (8, 4), 8),
              ((2, 2), (4, 2, 2), 24), ((3,), (9, 3), 6), ((1,), (4,), 1),
              ((), (6,), 1)]
     for m, n, count in cases:
         M, N = FgGroup(m), FgGroup(n)
-        embs = list(ppsolve._pure_embeddings(M, N))
+        embs = list(_pure_embeddings(M, N))
         assert len(embs) == count
         for S, emb in embs:
             assert S.order() == M.order() and is_pure(S, N)
@@ -244,14 +266,31 @@ def test_count_types_bound_limit():
         ppsolve.count_types(FgGroup(()), ppsolve.MAX_TYPES_BOUND + 1)
 
 
-def test_count_types_candidate_limit():
-    # (Z/2)^2 has 660 candidate embeddings into the groups of order ≤ 31 and
-    # 2,104 into those of order ≤ 32
-    assert ppsolve.count_types(FgGroup((2, 2)), 31) == 23
-    for m in ((2, 2), (2, 2, 2), (2, 2, 2, 2, 2)):
-        with pytest.raises(ppsolve.PpSolveError,
-                           match=f"limit {ppsolve.MAX_TYPES_CANDIDATES}"):
-            ppsolve.count_types(FgGroup(m), 32)
+@pytest.mark.parametrize("M", abelian_groups_upto(8), ids=str)
+def test_count_types_matches_all_embeddings(M):
+    for bound in (8, 12, 16):
+        if M.moduli == (2, 2, 2) and bound == 16:
+            continue  # the reference alone takes about 13 s here
+        assert ppsolve.count_types(M, bound) == \
+            _count_types_all_embeddings(M, bound)
+
+
+def test_count_types_large_inputs():
+    # the all-embeddings reference takes 1 s on the first input and 4 s to
+    # over a minute on each of the others
+    cases = [((2, 2), 31, 23), ((2, 2, 2), 32, 26), ((3, 3), 32, 19),
+             ((5, 5), 32, 25), ((2,) * 5, 32, 32), ((4, 2), 32, 23),
+             ((2, 2), 32, 32)]
+    for m, bound, count in cases:
+        assert ppsolve.count_types(FgGroup(m), bound, use_oracle=True) == count
+
+
+def test_count_types_trivial_factors():
+    # a coordinate ℤ/1 of M is a parameter 0 and adds no coordinate to N
+    assert ppsolve.count_types(FgGroup((2, 1, 2)), 31) == 23
+    start = time.perf_counter()
+    assert ppsolve.count_types(FgGroup((1,) * 64), 32) == 55
+    assert time.perf_counter() - start < 5
 
 
 def test_count_types_oracle_disagreement_raises(monkeypatch):
