@@ -252,7 +252,8 @@ class Subgroup:
     """A subgroup of an FgGroup, canonically a row lattice R ⊆ L ⊆ ℤ^g.
 
     In a finite ambient L contains R = diag(m), so its HNF is square, built
-    by hermite_mod, and |L/R| is Π m_i over the product of the pivots.
+    by hermite_mod (or checked by _from_hnf when it is already known), and
+    |L/R| is Π m_i over the product of the pivots.
     """
 
     def __init__(self, ambient: FgGroup, lattice_rows):
@@ -266,6 +267,48 @@ class Subgroup:
         else:
             basis = hermite_row_basis(rows + ambient.relation_basis)
         self.basis = tuple(tuple(r) for r in basis)
+
+    @classmethod
+    def _from_hnf(cls, ambient: FgGroup, basis) -> "Subgroup":
+        """The subgroup of a finite ambient whose canonical basis, the square
+        HNF B (rows of ints) of a lattice containing diag(m), is known.
+
+        B is checked instead of recomputed: square and upper triangular,
+        each pivot d_j ≥ 1 dividing m_j, each entry above it in [0, d_j),
+        and m_j·e_j in the span of rows j, j+1, ...; that last check runs
+        from the bottom row up, so the rows below already contain their
+        part of diag(m).
+        """
+        if not ambient.is_finite:
+            raise GroupError(f"no square Hermite basis in infinite {ambient}")
+        moduli = ambient.moduli
+        n = len(moduli)
+        B = tuple(map(tuple, basis))
+        if len(B) != n or any(len(row) != n for row in B):
+            raise GroupError(f"a Hermite basis in {ambient} is {n} × {n}")
+        pivots = [row[j] for j, row in enumerate(B)]
+        for j, (row, d, m) in enumerate(zip(B, pivots, moduli)):
+            if any(row[:j]):
+                raise GroupError(f"row {j} has an entry left of its pivot")
+            if d < 1 or m % d:
+                raise GroupError(
+                    f"pivot {d} in column {j} does not divide its modulus {m}")
+        for j in reversed(range(n)):
+            row = B[j]
+            if not any(row[j + 1:]):
+                continue
+            for k in range(j + 1, n):
+                if not 0 <= row[k] < pivots[k]:
+                    raise GroupError(f"entry {row[k]} of row {j} is not "
+                                     f"reduced modulo pivot {pivots[k]}")
+            s = moduli[j] // pivots[j]
+            if not _in_span_below([s * x for x in row], B[j + 1:], moduli):
+                raise GroupError(
+                    f"{moduli[j]}·e_{j} is not in the lattice of the rows")
+        H = cls.__new__(cls)
+        H.ambient = ambient
+        H.basis = B
+        return H
 
     @classmethod
     def from_generators(cls, ambient: FgGroup, gens) -> "Subgroup":
@@ -321,9 +364,6 @@ class Subgroup:
                 self.basis, other.basis, self.ambient.moduli))
         return Subgroup(self.ambient,
                         lattice_intersection(self.basis, other.basis))
-
-    def add_element(self, a: Element) -> "Subgroup":
-        return Subgroup(self.ambient, list(self.basis) + [list(a.coords)])
 
     def index_in(self, other: "Subgroup"):
         """[other : self]; self ⊆ other required."""
@@ -580,33 +620,64 @@ def abelian_groups_upto(n: int) -> list[FgGroup]:
     return [G for k in range(1, n + 1) for G in abelian_groups_of_order(k)]
 
 
-# all_subgroups closes every subgroup found under every element: (Z/2)^5
-# takes about 0.4 s, (Z/2)^6 about 8 s.  Larger groups are refused.
-MAX_SUBGROUPS_ORDER = 32
+def _in_span_below(v, rows, moduli) -> bool:
+    """Whether v lies in the span of rows, the last len(rows) rows of a
+    square HNF over moduli that contain m_k·e_k for each of their pivot
+    columns k; entries of v left of the first of those columns are ignored.
+
+    One echelon pass: column k is reduced mod m_k, then cleared by a
+    multiple of its pivot row when the pivot divides it.
+    """
+    v = list(v)
+    n = len(moduli)
+    for k, row in enumerate(rows, n - len(rows)):
+        a = v[k] % moduli[k]
+        if a:
+            d = row[k]
+            if a % d:
+                return False
+            q = a // d
+            for l in range(k + 1, n):
+                v[l] -= q * row[l]
+    return True
+
+
+# all_subgroups lists the square HNFs that contain diag(m): (Z/2)^6, the
+# order-64 group with the most subgroups (2,825), takes about 0.1 s.  Larger
+# groups are refused.
+MAX_SUBGROUPS_ORDER = 64
 
 
 def all_subgroups(M: FgGroup) -> list[Subgroup]:
-    """All subgroups of a finite group of order ≤ MAX_SUBGROUPS_ORDER, by
-    closure under element addition."""
+    """All subgroups of a finite group of order ≤ MAX_SUBGROUPS_ORDER, sorted
+    by (order, basis).
+
+    A subgroup of M = ⊕ ℤ/m_j is one square HNF B whose lattice contains
+    diag(m): pivot d_j divides m_j and each entry above it lies in [0, d_j)
+    (Cohen, GTM 138, §2.4.2).  The forms are listed from the bottom row up;
+    row j = (d_j, t) is kept when (m_j/d_j)·t lies in the lattice of the
+    rows below it, i.e. when m_j·e_j lies in the lattice.
+    """
     if not M.is_finite:
         raise GroupError("subgroup enumeration requires a finite group")
     if M.order() > MAX_SUBGROUPS_ORDER:
         raise GroupError(
             f"order {M.order()} exceeds the limit {MAX_SUBGROUPS_ORDER} "
             f"on subgroup enumeration")
-    elems = list(M.elements())
-    zero = M.zero_subgroup()
-    seen = {zero.basis: zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for H in frontier:
-            for a in elems:
-                if H.contains(a):
-                    continue
-                H2 = H.add_element(a)
-                if H2.basis not in seen:
-                    seen[H2.basis] = H2
-                    nxt.append(H2)
-        frontier = nxt
-    return sorted(seen.values(), key=lambda H: (H.order(), H.basis))
+    moduli = M.moduli
+    forms = [()]  # the rows with pivots j + 1, ..., n − 1 of each HNF
+    for j in reversed(range(M.rank)):
+        m = moduli[j]
+        grown = []
+        for low in forms:
+            # the entries right of the pivot, each in [0, pivot of its column)
+            tails = list(itertools.product(
+                *(range(row[k]) for k, row in enumerate(low, j + 1))))
+            for d in (d for d in range(1, m + 1) if m % d == 0):
+                for t in tails:
+                    v = (0,) * (j + 1) + tuple(m // d * x for x in t)
+                    if _in_span_below(v, low, moduli):
+                        grown.append(((0,) * j + (d,) + t,) + low)
+        forms = grown
+    subs = [Subgroup._from_hnf(M, B) for B in forms]
+    return sorted(subs, key=lambda H: (H.order(), H.basis))

@@ -78,7 +78,13 @@ def evaluate(f: PpFormula, M: FgGroup) -> Subgroup:
             for i, v in enumerate(r):
                 row[i * rank + c] = v
             rows.append(row)
-    return Subgroup(P, rows)
+    if not M.is_finite:
+        return Subgroup(P, rows)
+    # Block c is an n × n HNF placed on the columns i·rank + c, which no
+    # other block touches, so its row i has its pivot at i·rank + c and
+    # stays reduced; in pivot order the blocks' rows are the HNF of φ[M].
+    return Subgroup._from_hnf(
+        P, [rows[c * n + i] for i in range(n) for c in range(rank)])
 
 
 @dataclass
@@ -285,9 +291,13 @@ def hom_oracle_equal(a1: Element, M1: Subgroup, N1: FgGroup,
 
 def _oracle_equal_emb(a1, emb1, N1, a2, emb2, N2) -> bool:
     """The oracle with the parameter group identified: row i of emb1 and of
-    emb2 are the ambient coordinates of the same parameter generator."""
+    emb2 are the ambient coordinates of the same parameter generator.
+
+    A generator that is zero on both sides (a coordinate ℤ/1 of the
+    parameter group) asks only 0 ↦ 0, which every homomorphism meets, so
+    its pair is dropped; a pair with one zero side still constrains."""
     cons12 = [(N1.element(r1), N2.element(r2))
-              for r1, r2 in zip(emb1, emb2)]
+              for r1, r2 in zip(emb1, emb2) if any(r1) or any(r2)]
     cons12.append((a1, a2))
     cons21 = [(b, a) for a, b in cons12]
     return (find_constrained_hom(N1, N2, cons12) is not None
@@ -299,9 +309,9 @@ def _oracle_equal_emb(a1, emb1, N1, a2, emb2, N2) -> bool:
 
 
 # count_types classifies every element of M ⊕ C for every C of order
-# ≤ bound/|M|.  At bound 32, M = 0 takes 0.3 s and the slowest M,
-# (ℤ/1)^64 with the oracle, 2.7 s; bound 200 ran for longer than 20 s.
-# Larger bounds are refused.
+# ≤ bound/|M|.  At bound 32 with the oracle, M = 0 takes 0.3 s and the
+# slowest M, (ℤ/1)^64, 0.4 s; bound 200 ran for longer than 20 s.  Larger
+# bounds are refused.
 MAX_TYPES_BOUND = 32
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -183,11 +184,73 @@ def test_all_subgroups_counts():
 
 
 def test_all_subgroups_order_limit():
-    assert MAX_SUBGROUPS_ORDER == 32
-    assert len(all_subgroups(FgGroup((32,)))) == 6  # at the limit
-    for moduli in ((33,), (2,) * 6):
-        with pytest.raises(GroupError, match="limit 32"):
+    assert MAX_SUBGROUPS_ORDER == 64
+    assert len(all_subgroups(FgGroup((2,) * 6))) == 2825  # at the limit
+    for moduli in ((65,), (2,) * 7):
+        with pytest.raises(GroupError, match="limit 64"):
             all_subgroups(FgGroup(moduli))
+
+
+def _subgroups_by_closure(M):
+    """Reference for all_subgroups: close {0} under adding elements, one
+    hermite_mod per (subgroup, element) pair, sorted by (order, basis)."""
+    elems = list(M.elements())
+    zero = M.zero_subgroup()
+    seen = {zero.basis: zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for H in frontier:
+            for a in elems:
+                if H.contains(a):
+                    continue
+                H2 = Subgroup(M, list(H.basis) + [list(a.coords)])
+                if H2.basis not in seen:
+                    seen[H2.basis] = H2
+                    nxt.append(H2)
+        frontier = nxt
+    return sorted(seen.values(), key=lambda H: (H.order(), H.basis))
+
+
+def _assert_same_subgroups(moduli):
+    M = FgGroup(moduli)
+    # the order matters too: the benchmark shuffles this list with a seed
+    assert [H.basis for H in all_subgroups(M)] == \
+        [H.basis for H in _subgroups_by_closure(M)], moduli
+
+
+def test_all_subgroups_match_closure():
+    tuples = {p for G in abelian_groups_upto(32)
+              for p in itertools.permutations(G.moduli)}
+    tuples |= {(1,), (1, 1), (1, 2), (2, 1, 3), (4, 1, 2, 1), (1, 8, 1, 4)}
+    for moduli in sorted(tuples):
+        _assert_same_subgroups(moduli)
+
+
+def test_all_subgroups_match_closure_order_64():
+    for moduli in ((4, 4, 4), (2, 2, 4, 4), (4, 2, 4, 2), (16, 4)):
+        _assert_same_subgroups(moduli)
+
+
+def test_from_hnf_checks_its_basis():
+    M = FgGroup((4, 2))
+    assert Subgroup._from_hnf(M, [[2, 1], [0, 2]]) == Subgroup(M, [[2, 1]])
+    bad = [
+        ([[2, 1]], "2 × 2"),                      # not square
+        ([[2, 1], [1, 1]], "left of its pivot"),  # not upper triangular
+        ([[3, 0], [0, 1]], "does not divide"),    # pivot 3 ∤ 4
+        ([[0, 0], [0, 1]], "does not divide"),    # pivot 0
+        ([[2, 2], [0, 2]], "not reduced"),        # 2 ∉ [0, 2)
+        ([[2, -1], [0, 2]], "not reduced"),
+    ]
+    for basis, message in bad:
+        with pytest.raises(GroupError, match=message):
+            Subgroup._from_hnf(M, basis)
+    # in (ℤ/2)², the lattice of (2, 1) and (0, 2) misses 2·e_0
+    with pytest.raises(GroupError, match="not in the lattice"):
+        Subgroup._from_hnf(FgGroup((2, 2)), [[2, 1], [0, 2]])
+    with pytest.raises(GroupError, match="infinite"):
+        Subgroup._from_hnf(FgGroup((0,)), [[1]])
 
 
 def test_is_isomorphic():

@@ -6,7 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from pptor import corpus, ppsolve
-from pptor.formulas import normalize, parse
+from pptor.formulas import Equation, PpFormula, normalize, parse
 from pptor.groups import (
     FgGroup,
     GroupError,
@@ -60,6 +60,30 @@ def test_evaluate_free_group():
     S = ppsolve.evaluate(parse("E y. x = 2*y"), M)
     assert S.contains(M.element([2]))
     assert not S.contains(M.element([1]))
+
+
+@st.composite
+def _formulas_and_mixed_groups(draw):
+    """A formula in one or two free variables and a group of rank ≤ 3 with
+    free, trivial and unsorted cyclic factors."""
+    moduli = tuple(draw(st.lists(st.sampled_from((0, 1, 2, 3, 4, 6, 9)),
+                                 min_size=1, max_size=3)))
+    fv = tuple(f"x{i}" for i in range(draw(st.integers(1, 2))))
+    bv = tuple(f"y{i}" for i in range(draw(st.integers(0, 2))))
+    coeffs = st.lists(st.integers(-6, 6), min_size=len(fv + bv),
+                      max_size=len(fv + bv))
+    rows = draw(st.lists(coeffs, min_size=1, max_size=3))
+    eqs = tuple(Equation(tuple(zip(row, fv + bv)), ()) for row in rows)
+    return PpFormula(fv, bv, eqs), FgGroup(moduli)
+
+
+@given(_formulas_and_mixed_groups())
+def test_evaluate_basis_is_the_hermite_form(case):
+    # a finite M^n gets its basis assembled from the coordinate blocks; it
+    # must be the HNF that Subgroup computes from the same rows
+    f, M = case
+    S = ppsolve.evaluate(f, M)
+    assert S.basis == Subgroup(S.ambient, S.basis).basis
 
 
 def test_index():
@@ -297,6 +321,29 @@ def test_count_types_oracle_disagreement_raises(monkeypatch):
     monkeypatch.setattr(ppsolve, "_oracle_equal_emb", lambda *args: False)
     with pytest.raises(ppsolve.PpSolveError, match="disagree"):
         ppsolve.count_types(FgGroup(()), 4, use_oracle=True)
+
+
+def test_oracle_drops_only_parameters_zero_on_both_sides(monkeypatch):
+    N = FgGroup((2,))
+    zero, one = N.zero(), N.element([1])
+    # a parameter that is 0 on one side only still constrains: no
+    # homomorphism sends 0 to 1
+    assert not ppsolve._oracle_equal_emb(zero, [[0]], N, zero, [[1]], N)
+    assert not ppsolve._oracle_equal_emb(zero, [[1]], N, zero, [[0]], N)
+    counts = []
+    real = ppsolve.find_constrained_hom
+
+    def spy(source, target, constraints):
+        counts.append(len(constraints))
+        return real(source, target, constraints)
+
+    monkeypatch.setattr(ppsolve, "find_constrained_hom", spy)
+    emb = [[0], [1], [0]]  # parameters ℤ/1 + ℤ/2 + ℤ/1
+    assert ppsolve._oracle_equal_emb(one, emb, N, one, emb, N)
+    assert not ppsolve._oracle_equal_emb(zero, emb, N, one, emb, N)
+    # each call gets the nonzero parameter and (a1, a2); the second oracle
+    # stops after its first direction fails
+    assert counts == [2, 2, 2]
 
 
 def test_hom_oracle_rejects_parameters_of_another_group():
