@@ -40,8 +40,8 @@ TRIAL_DIVISION_LIMIT = 10**6
 # and evaluate works in.  HNF and Smith form cost grows steeply with the
 # rank: at rank 64 `ulm "(Z/1000000)^64"` takes about 0.5 s and
 # `chain --witness 2 64 1 --indices` about 1.5 s, while with the limit
-# lifted `complement 0 "(Z/2)^300"` takes about 7 s and `ulm "(Z/2)^600"`
-# about 11 s (2 CPUs, Python 3.11).
+# lifted `complement 0 "(Z/2)^300"` takes 12–13 s (2.1–2.5 s of it in
+# purity.complement) and `ulm "(Z/2)^600"` 11–12 s (2 CPUs, Python 3.11).
 MAX_RANK = 64
 
 
@@ -110,18 +110,12 @@ class FgGroup:
         return 0 not in self.moduli
 
     def order(self):
-        if not self.is_finite:
-            return inf
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return prod(self.moduli) if self.is_finite else inf
 
     def exponent(self) -> int:
         if not self.is_finite:
             raise GroupError("exponent is defined for finite groups only")
-        inv = self.invariant_factors
-        return inv[-1] if inv else 1
+        return lcm(*self.moduli)
 
     def element(self, coords) -> "Element":
         coords = tuple(int(c) for c in coords)

@@ -9,16 +9,26 @@ e = exp(M), which exp(M/H) divides; with a free part, e is the lcm of the
 torsion exponents of M and M/H (beyond those, both sides stop changing on
 torsion and agree on free parts).
 
+For finite M = ⊕ ℤ/m_j the test at n is one of orders: n·H ⊆ n·M ∩ H
+always, so the two are equal iff they have the same order.  With
+g_j = gcd(n, m_j), H + n·M is H's lattice plus diag(g) and H + M[n] is H's
+lattice plus diag(m/g), so each order is read from the pivots of one
+hermite_mod; then |n·M ∩ H| = |H|·|n·M| / |H + n·M| and
+|n·H| = |H| / |H[n]| = |H + M[n]| / |M[n]|.  The subgroups n·M ∩ H and n·H
+themselves are built only for a witness, at the failing n.  With a free
+part, the two subgroups are built and compared at every n.
+
 Complements are decided by splitting instead: a finitely generated H ≤ M is
-a direct summand iff a retraction M → H exists, and for finite M that holds
-iff H is pure.  So the lattice criterion and the Diophantine retraction
-search are two independent decisions of the same property.
+a direct summand iff a retraction r: M → H exists, and for finite M that
+holds iff H is pure.  So the order criterion and the Diophantine retraction
+search are two independent decisions of the same property.  The complement
+is ker r, the image of 1 − ι∘r for the inclusion ι of H.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm, prod
 
 from .groups import (
     FgGroup,
@@ -27,7 +37,7 @@ from .groups import (
     factorize,
     quotient,
 )
-from .intlinalg import congruence_lattice
+from .intlinalg import hermite_mod
 
 # purity.kernel_basis stays importable: perfbench's tracer test checks that a
 # wrapper installed on it here is removed again.
@@ -43,23 +53,47 @@ def _torsion_exponent(M: FgGroup) -> int:
     return inv[-1] if inv else 1
 
 
+def _index(rows, moduli) -> int:
+    """[ℤ^g : L] for L spanned by rows and diag(moduli), all moduli ≥ 1."""
+    return prod(row[j] for j, row in enumerate(hermite_mod(rows, moduli)))
+
+
+def _pure_at(n: int, H: Subgroup, M: FgGroup) -> bool:
+    """n·M ∩ H = n·H for finite M, by orders (see the module docstring).
+
+    In indices of lattices containing diag(m), |n·M ∩ H| = |n·H| reads
+    [ℤ^g : H] = [ℤ^g : H + diag(g)]·[ℤ^g : H + diag(m/g)].
+    """
+    g = [gcd(n, m) for m in M.moduli]
+    index = prod(row[j] for j, row in enumerate(H.basis))
+    return index == (_index(H.basis, g)
+                     * _index(H.basis, [m // d for m, d in zip(M.moduli, g)]))
+
+
+def _meet_and_multiple(n: int, H: Subgroup, M: FgGroup):
+    """(n·M ∩ H, n·H)."""
+    nM = Subgroup(M, _scaled_lattice(n, M.full_subgroup().basis))
+    return nM.intersection(H), Subgroup(M, _scaled_lattice(n, H.basis))
+
+
 def _first_failure(H: Subgroup, M: FgGroup):
-    """(n, n·M ∩ H, n·H) for the least n where the two differ, or None."""
+    """The least n with n·M ∩ H ≠ n·H, or None."""
     if H.ambient != M:
         raise GroupError("subgroup of a different group")
     if M.is_finite:
         e = M.exponent()
     else:
         e = lcm(_torsion_exponent(M), _torsion_exponent(quotient(M, H)))
-    full = M.full_subgroup()
     prime_powers = sorted(p ** k for p, v in factorize(e).items()
                           for k in range(1, v + 1))
     for n in prime_powers:
-        nM = Subgroup(M, _scaled_lattice(n, full.basis))
-        nH = Subgroup(M, _scaled_lattice(n, H.basis))
-        meet = nM.intersection(H)
-        if meet != nH:
-            return n, meet, nH
+        if M.is_finite:
+            if not _pure_at(n, H, M):
+                return n
+        else:
+            meet, nH = _meet_and_multiple(n, H, M)
+            if meet != nH:
+                return n
     return None
 
 
@@ -77,10 +111,10 @@ def purity_witness(H: Subgroup, M: FgGroup):
     order of that form, found without enumerating.  One exists because the
     generators span n·M ∩ H, which contains n·H and differs from it.
     """
-    failure = _first_failure(H, M)
-    if failure is None:
+    n = _first_failure(H, M)
+    if n is None:
         return None
-    n, meet, nH = failure
+    meet, nH = _meet_and_multiple(n, H, M)
     gens = map(M.element, meet.as_group_with_embedding()[1])
     return n, [a for a in gens if not nH.contains(a)][-1]
 
@@ -90,17 +124,20 @@ def is_pure_via_splitting(H: Subgroup, M: FgGroup) -> bool:
     summand, iff a retraction M → H exists."""
     if H.ambient != M:
         raise GroupError("subgroup of a different group")
-    return _retraction(H, M) is not None
+    return _retraction(H, M)[0] is not None
 
 
 def _retraction(H: Subgroup, M: FgGroup):
+    """(r, emb): emb holds the ambient coordinates of the generators of H's
+    abstract form, i.e. the rows of the inclusion ι, and r: M → H is a
+    homomorphism with r∘ι = 1, or None when none exists."""
     from .ppsolve import find_constrained_hom
 
     Hg, emb = H.as_group_with_embedding()
     cons = [(tuple(emb[i]),
              tuple(1 if j == i else 0 for j in range(Hg.rank)))
             for i in range(Hg.rank)]
-    return find_constrained_hom(M, Hg, cons)
+    return find_constrained_hom(M, Hg, cons), emb
 
 
 def torsion_radical(M: FgGroup) -> Subgroup:
@@ -127,31 +164,29 @@ def primary_component(M: FgGroup, p: int) -> Subgroup:
 def complement(H: Subgroup, M: FgGroup):
     """K with H ⊕ K = M, or None when H is not a direct summand.
 
-    Existence is decided by splitting alone: K is the kernel of a retraction
-    M → H, found by solving the Diophantine system of find_constrained_hom,
-    and None means no retraction exists.  For finite M that happens exactly
-    when H is not pure (Lemma mod (1)⇔(5) at finite scale), which is_pure
-    decides independently by the lattice criterion.
+    Existence is decided by splitting alone: a retraction r: M → H is sought
+    by solving the Diophantine system of find_constrained_hom, and None
+    means none exists.  For finite M that happens exactly when H is not
+    pure (Lemma mod (1)⇔(5) at finite scale), which is_pure decides
+    independently by orders.  K = ker r is the image of 1 − ι∘r, since
+    r∘ι = 1: it is spanned by e_j − ι(r(e_j)) for each coordinate j of M.
+    The result is checked as H + K = M and |H|·|K| = |M|, which for finite
+    M says H ∩ K = 0.
     """
     if H.ambient != M:
         raise GroupError("subgroup of a different group")
     if not M.is_finite:
         raise GroupError("complement search requires a finite group")
-    r = _retraction(H, M)
+    r, emb = _retraction(H, M)
     if r is None:
         return None
-    K = _hom_kernel(r)
-    if H.sum(K) != M.full_subgroup() or H.intersection(K).order() != 1:
-        raise GroupError("retraction kernel is not a direct complement")
+    rows = [[(1 if j == k else 0) - sum(c * e[k] for c, e in zip(image, emb))
+             for k in range(M.rank)]
+            for j, image in enumerate(r.matrix)]
+    K = Subgroup(M, rows)
+    if H.sum(K) != M.full_subgroup() or H.order() * K.order() != M.order():
+        raise GroupError("the image of 1 − ι∘r is not a direct complement")
     return K
-
-
-def _hom_kernel(h) -> Subgroup:
-    """Kernel of a Homomorphism as a Subgroup of its source."""
-    # x·matrix ≡ 0, coordinate j of the target modulo its modulus
-    A = list(zip(*h.matrix))
-    return Subgroup(h.source,
-                    congruence_lattice(A, h.target.moduli, h.source.rank))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -68,6 +69,20 @@ def test_order_and_exponent():
     assert M.order() == 24
     assert M.exponent() == 12
     assert FgGroup((0, 2)).order() == float("inf")
+    with pytest.raises(GroupError, match="finite groups only"):
+        FgGroup((0, 2)).exponent()
+
+
+@given(st.lists(st.integers(1, 60), max_size=5))
+@example([])
+@example([1, 1])
+def test_order_and_exponent_match_invariant_factors(moduli):
+    """order() and exponent() come from the moduli; the invariant factors
+    (a Smith form) give the same values, with Z/1 factors and M = 0."""
+    M = FgGroup(moduli)
+    inv = M.invariant_factors
+    assert M.order() == math.prod(inv)
+    assert M.exponent() == (inv[-1] if inv else 1)
 
 
 def test_subgroup_canonical_under_generator_shuffle():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from pptor import corpus, purity
 from pptor.groups import (
     FgGroup,
     GroupError,
+    Homomorphism,
     Subgroup,
     abelian_groups_upto,
     all_subgroups,
@@ -51,6 +53,48 @@ def test_2z_in_z_not_pure():
 
 def _scaled(M, n, S):
     return Subgroup(M, [[n * v for v in row] for row in S.basis])
+
+
+def _least_failure_by_intersection(H, M):
+    """The reference: the least n with n·M ∩ H ≠ n·H, by building both
+    subgroups for every n up to the exponent, or None."""
+    for n in range(1, math.lcm(*M.moduli) + 1):
+        meet = _scaled(M, n, M.full_subgroup()).intersection(H)
+        if meet != _scaled(M, n, H):
+            return n
+    return None
+
+
+def _shuffled_with_trivial_factors(rng, moduli):
+    """moduli in a seeded order, with up to two Z/1 factors inserted."""
+    moduli = list(moduli)
+    rng.shuffle(moduli)
+    for _ in range(rng.randint(0, 2)):
+        moduli.insert(rng.randint(0, len(moduli)), 1)
+    return FgGroup(moduli)
+
+
+def test_purity_by_orders_matches_intersection_criterion():
+    """is_pure and purity_witness, which decide by orders, against the
+    intersection criterion on every subgroup of every group of order ≤ 32,
+    each with its factors in a seeded order and with Z/1 factors."""
+    rng = random.Random(1332)
+    pairs = impure = 0
+    for G in abelian_groups_upto(32):
+        for M in (G, _shuffled_with_trivial_factors(rng, G.moduli)):
+            for H in all_subgroups(M):
+                n = _least_failure_by_intersection(H, M)
+                assert purity.is_pure(H, M) == (n is None)
+                w = purity.purity_witness(H, M)
+                assert (None if w is None else w[0]) == n
+                if w is not None:
+                    a = w[1]
+                    assert H.contains(a)
+                    assert _scaled(M, n, M.full_subgroup()).contains(a)
+                    assert not _scaled(M, n, H).contains(a)
+                    impure += 1
+                pairs += 1
+    assert (pairs, impure) == (2060, 246)
 
 
 def test_pure_iff_splitting_random_with_free_parts():
@@ -109,6 +153,41 @@ def test_complement_properties():
             assert H.sum(K) == M.full_subgroup()
             assert H.intersection(K).order() == 1
             assert is_isomorphic(K.as_group(), quotient(M, H))
+
+
+def test_complement_rejects_a_map_that_is_not_a_retraction(monkeypatch):
+    """complement checks its result: with the zero map in place of a
+    retraction, the image of 1 − ι∘r is all of M, which meets H ≠ 0."""
+    real = purity._retraction
+
+    def zero_map(H, M):
+        r, emb = real(H, M)
+        return Homomorphism(M, r.target, [[0] * r.target.rank] * M.rank), emb
+
+    monkeypatch.setattr(purity, "_retraction", zero_map)
+    M = FgGroup((4, 2))
+    H = Subgroup.from_generators(M, [M.element([0, 1])])
+    with pytest.raises(GroupError, match="not a direct complement"):
+        purity.complement(H, M)
+    # for H = 0 the zero map is the retraction, and K = M
+    assert purity.complement(M.zero_subgroup(), M) == M.full_subgroup()
+
+
+def test_purity_and_complement_with_trivial_coordinates():
+    M = FgGroup((1, 4, 1, 2))
+    H = Subgroup.from_generators(M, [M.element([0, 0, 0, 1])])
+    assert purity.is_pure(H, M) and purity.purity_witness(H, M) is None
+    K = purity.complement(H, M)
+    assert H.sum(K) == M.full_subgroup() and K.order() == 4
+    assert H.intersection(K).order() == 1
+    H = Subgroup.from_generators(M, [M.element([0, 2, 0, 0])])
+    assert not purity.is_pure(H, M)
+    n, a = purity.purity_witness(H, M)
+    assert n == 2 and a.coords == (0, 2, 0, 0)
+    assert purity.complement(H, M) is None
+    M = FgGroup((1, 1))
+    assert purity.is_pure(M.zero_subgroup(), M)
+    assert purity.complement(M.zero_subgroup(), M) == M.full_subgroup()
 
 
 def test_torsion_radical():
