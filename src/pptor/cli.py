@@ -56,12 +56,13 @@ def _group_desc(G: FgGroup) -> dict:
             "free_rank": G.free_rank}
 
 
-def _subgroup_desc(S: Subgroup) -> dict:
+def _subgroup_desc(S: Subgroup, G: FgGroup) -> dict:
+    """JSON description of S with its abstract form G = S.as_group()."""
     order = S.order()
     return {"ambient": _group_desc(S.ambient),
             "generators": [list(r) for r in S.basis],
             "order": None if order == inf else order,
-            "group": _group_desc(S.as_group())}
+            "group": _group_desc(G)}
 
 
 def _generator_lines(S: Subgroup) -> list[str]:
@@ -91,12 +92,13 @@ def cmd_eval(args):
     f = parse(args.formula)
     M = parse_group(args.group)
     S = ppsolve.evaluate(f, M)
+    G = S.as_group()
     result = {"formula": print_formula(f), "group": _group_desc(M),
               "free_variables": list(f.free_vars),
-              "subgroup": _subgroup_desc(S)}
+              "subgroup": _subgroup_desc(S, G)}
     lines = [f"φ[M] ≤ M^{len(f.free_vars)}",
              f"order: {S.order()}",
-             f"isomorphism type: {_type_str(S.as_group())}"]
+             f"isomorphism type: {_type_str(G)}"]
     return result, None, lines + _generator_lines(S)
 
 
@@ -104,8 +106,8 @@ def cmd_pure(args):
     M = parse_group(args.group)
     H = _parse_subgroup(args.subgroup, M)
     w = purity.purity_witness(H, M)
-    result = {"group": _group_desc(M), "subgroup": _subgroup_desc(H),
-              "pure": w is None}
+    result = {"group": _group_desc(M),
+              "subgroup": _subgroup_desc(H, H.as_group()), "pure": w is None}
     trace = None
     lines = [str(w is None).lower()]
     if w is not None:
@@ -118,8 +120,9 @@ def cmd_pure(args):
 def cmd_torsion(args):
     M = parse_group(args.group)
     T = purity.torsion_radical(M)
-    result = {"group": _group_desc(M), "torsion": _subgroup_desc(T)}
-    lines = [f"t(M) has order {T.order()}, type {_type_str(T.as_group())}"]
+    G = T.as_group()
+    result = {"group": _group_desc(M), "torsion": _subgroup_desc(T, G)}
+    lines = [f"t(M) has order {T.order()}, type {_type_str(G)}"]
     return result, None, lines + _generator_lines(T)
 
 
@@ -129,9 +132,11 @@ def cmd_complement(args):
     K = purity.complement(H, M)
     if K is None:
         raise CliError("no direct complement: the subgroup is not pure")
-    result = {"group": _group_desc(M), "subgroup": _subgroup_desc(H),
-              "complement": _subgroup_desc(K)}
-    lines = [f"complement of order {K.order()}, type {_type_str(K.as_group())}"]
+    G = K.as_group()
+    result = {"group": _group_desc(M),
+              "subgroup": _subgroup_desc(H, H.as_group()),
+              "complement": _subgroup_desc(K, G)}
+    lines = [f"complement of order {K.order()}, type {_type_str(G)}"]
     return result, None, lines + _generator_lines(K)
 
 

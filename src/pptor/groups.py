@@ -22,6 +22,7 @@ from .intlinalg import (
     lattice_index,
     lattice_intersection,
     mat_mul,
+    reduce_above_pivots,
     smith_normal_form,
     snf_diagonal,
 )
@@ -40,8 +41,8 @@ TRIAL_DIVISION_LIMIT = 10**6
 # and evaluate works in.  HNF and Smith form cost grows steeply with the
 # rank: at rank 64 `ulm "(Z/1000000)^64"` takes about 0.5 s and
 # `chain --witness 2 64 1 --indices` about 1.5 s, while with the limit
-# lifted `complement 0 "(Z/2)^300"` takes 12–13 s (2.1–2.5 s of it in
-# purity.complement) and `ulm "(Z/2)^600"` 11–12 s (2 CPUs, Python 3.11).
+# lifted `complement 0 "(Z/2)^300"` takes 2.6–3.6 s (0.9–1.1 s of it in
+# purity.complement) and `ulm "(Z/2)^600"` 6–9 s (2 CPUs, Python 3.11).
 MAX_RANK = 64
 
 
@@ -381,7 +382,10 @@ class Subgroup:
         """(H as an abstract FgGroup, rows = ambient coords of its generators).
 
         H = L/R; relative to the basis rows of L, R has coordinate lattice
-        given by lattice_coords of each R-basis row.
+        given by lattice_coords of each R-basis row.  In a finite ambient L
+        is a square HNF with pivots d_i | m_i, so the coordinates of the rows
+        m_i·e_i form an upper-triangular matrix with diagonal m_i/d_i, whose
+        HNF needs only the entries above its pivots reduced.
         """
         L = self.basis
         if not L:
@@ -392,7 +396,11 @@ class Subgroup:
             if coeffs is None:
                 raise GroupError("relation row outside the subgroup lattice")
             rel.append(coeffs)
-        grp, gens = _group_from_lattice(len(L), hermite_row_basis(rel))
+        if self.ambient.is_finite:
+            reduce_above_pivots(rel)
+        else:
+            rel = hermite_row_basis(rel)
+        grp, gens = _group_from_lattice(len(L), rel)
         return grp, mat_mul(gens, L)
 
     def as_group(self) -> FgGroup:
@@ -413,7 +421,7 @@ def _group_from_lattice(ngens: int, lattice):
     """
     if not lattice:
         return FgGroup((0,) * ngens), identity_matrix(ngens)
-    _, S, _, Vi = smith_normal_form(lattice, inverses=True)
+    _, S, _, Vi = smith_normal_form(lattice, ("Vinv",))
     moduli = [S[i][i] if i < len(lattice) else 0 for i in range(ngens)]
     keep = [i for i, m in enumerate(moduli) if m != 1]
     return FgGroup(tuple(moduli[i] for i in keep)), [Vi[i] for i in keep]

@@ -4,6 +4,9 @@ Diophantine solving, systems of congruences, and row-lattice arithmetic.
 Everything here works on plain Python ints (arbitrary precision); matrices
 are lists of lists.  Pivoting is deterministic (smallest absolute value,
 ties broken by lowest index) so all outputs are reproducible.
+``smith_normal_form`` builds only the transforms its caller names (U, V,
+V⁻¹), and the pivots do not depend on which; ``mat_mul`` combines the rows
+of its right factor and skips the zero entries of its left one.
 
 ``hermite_row_basis`` is the one general HNF.  Lattices that contain
 diag(m) with every m_i ≥ 1 (the subgroups of a finite group) take the
@@ -26,15 +29,24 @@ Matrix = list[list[int]]
 
 
 def identity_matrix(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    I = [[0] * n for _ in range(n)]
+    for i, row in enumerate(I):
+        row[i] = 1
+    return I
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    if not A:
-        return []
+    """A·B as a combination of B's rows per row of A, skipping A's zero
+    entries: the products here are mostly zero."""
     n = len(B[0]) if B else 0
-    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] if B else [0] * n
-            for row in A]
+    out = []
+    for row in A:
+        acc = [0] * n
+        for a, b in zip(row, B):
+            if a:
+                acc = [x + a * y for x, y in zip(acc, b)]
+        out.append(acc)
+    return out
 
 
 def mat_vec(A: Matrix, v: list[int]) -> list[int]:
@@ -65,44 +77,61 @@ def det(A: Matrix) -> int:
     return sign * M[n - 1][n - 1]
 
 
-def smith_normal_form(A: Matrix, inverses: bool = False):
-    """Return (U, S, V) with U*A*V = S, U and V unimodular, S diagonal and
-    S[0][0] | S[1][1] | ... with nonnegative diagonal.
+SNF_TRANSFORMS = frozenset({"U", "V", "Vinv"})
 
-    With inverses=True returns (U, S, V, Vinv).
+
+def smith_normal_form(A: Matrix, transforms=SNF_TRANSFORMS):
+    """Return (U, S, V, Vinv) with U*A*V = S, U and V unimodular, V*Vinv = I,
+    S diagonal and S[0][0] | S[1][1] | ... with nonnegative diagonal.
+
+    Only the transforms named in ``transforms`` (a subset of SNF_TRANSFORMS)
+    are built; the others come back as None.  The pivots do not depend on
+    which are built.
     """
+    unknown = set(transforms) - SNF_TRANSFORMS
+    if unknown:
+        raise ValueError(f"unknown Smith form transforms {sorted(unknown)}")
     m = len(A)
     n = len(A[0]) if m else 0
-    S = [[int(x) for x in row] for row in A]
-    U = identity_matrix(m)
-    V = identity_matrix(n)
-    Vi = identity_matrix(n) if inverses else None
+    S = [list(map(int, row)) for row in A]
+    U = identity_matrix(m) if "U" in transforms else None
+    V = identity_matrix(n) if "V" in transforms else None
+    Vi = identity_matrix(n) if "Vinv" in transforms else None
 
     def row_add(i, j, q):  # row_i += q * row_j
         S[i] = [a + q * b for a, b in zip(S[i], S[j])]
-        U[i] = [a + q * b for a, b in zip(U[i], U[j])]
+        if U is not None:
+            U[i] = [a + q * b for a, b in zip(U[i], U[j])]
 
     def row_swap(i, j):
         S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
+        if U is not None:
+            U[i], U[j] = U[j], U[i]
 
     def row_neg(i):
         S[i] = [-a for a in S[i]]
-        U[i] = [-a for a in U[i]]
+        if U is not None:
+            U[i] = [-a for a in U[i]]
 
-    def col_add(j, k, q):  # col_j += q * col_k
-        for r in range(m):
-            S[r][j] += q * S[r][k]
-        for r in range(n):
-            V[r][j] += q * V[r][k]
+    def col_add(j, k, q):  # col_j += q * col_k, in place row by row
+        for row in S:
+            b = row[k]
+            if b:
+                row[j] += q * b
+        if V is not None:
+            for row in V:
+                b = row[k]
+                if b:
+                    row[j] += q * b
         if Vi is not None:
             Vi[k] = [a - q * b for a, b in zip(Vi[k], Vi[j])]
 
     def col_swap(j, k):
-        for r in range(m):
-            S[r][j], S[r][k] = S[r][k], S[r][j]
-        for r in range(n):
-            V[r][j], V[r][k] = V[r][k], V[r][j]
+        for row in S:
+            row[j], row[k] = row[k], row[j]
+        if V is not None:
+            for row in V:
+                row[j], row[k] = row[k], row[j]
         if Vi is not None:
             Vi[j], Vi[k] = Vi[k], Vi[j]
 
@@ -131,47 +160,48 @@ def smith_normal_form(A: Matrix, inverses: bool = False):
             if piv is None:
                 done = True
                 break
-            row_swap(t, piv[0])
-            col_swap(t, piv[1])
+            if piv[0] != t:
+                row_swap(t, piv[0])
+            if piv[1] != t:
+                col_swap(t, piv[1])
             if S[t][t] < 0:
                 row_neg(t)
+            d = S[t][t]
             changed = False
             for i in range(t + 1, m):
-                if S[i][t]:
-                    q = S[i][t] // S[t][t]
-                    row_add(i, t, -q)
-                    if S[i][t]:
+                x = S[i][t]
+                if x:
+                    row_add(i, t, -(x // d))
+                    if x % d:
                         changed = True
             for j in range(t + 1, n):
-                if S[t][j]:
-                    q = S[t][j] // S[t][t]
-                    col_add(j, t, -q)
-                    if S[t][j]:
+                x = S[t][j]
+                if x:
+                    col_add(j, t, -(x // d))
+                    if x % d:
                         changed = True
             if changed:
                 continue  # smaller remainders appeared; re-select pivot
-            # divisibility: pivot must divide the remaining block
+            # divisibility: pivot must divide the remaining block; the first
+            # row (top down) with an entry it does not divide, i.e. whose
+            # entries have a gcd it does not divide, is added to row t
             bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if S[i][j] % S[t][t]:
+            if d != 1:
+                for i in range(t + 1, m):
+                    if gcd(*S[i][t + 1:]) % d:
                         bad = i
                         break
-                if bad is not None:
-                    break
             if bad is None:
                 break
             row_add(t, bad, 1)
         if done:
             break
         t += 1
-    if inverses:
-        return U, S, V, Vi
-    return U, S, V
+    return U, S, V, Vi
 
 
 def snf_diagonal(A: Matrix) -> list[int]:
-    _, S, _ = smith_normal_form(A)
+    _, S, _, _ = smith_normal_form(A, ())
     return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
 
 
@@ -269,14 +299,21 @@ def hermite_mod(rows, moduli) -> list[list[int]]:
             u, w = a // g, d // g
             B[j] = [(s * y + t * x) % m for x, y, m in zip(r, p, moduli)]
             r = [(u * y - w * x) % m for x, y, m in zip(r, p, moduli)]
-    for j in range(n):
-        p = B[j]
+    reduce_above_pivots(B)
+    return B
+
+
+def reduce_above_pivots(B: Matrix) -> None:
+    """Reduce each entry above a pivot of the square upper-triangular B
+    with positive diagonal into [0, pivot), in place, column by column from
+    the left: the last pass of hermite_row_basis, which is all it does to
+    such a matrix."""
+    for j, p in enumerate(B):
         d = p[j]
         for i in range(j):
             q = B[i][j] // d
             if q:
                 B[i] = [x - q * y for x, y in zip(B[i], p)]
-    return B
 
 
 def _pivot_col(row) -> int:
@@ -315,7 +352,7 @@ def kernel_basis(A: Matrix) -> list[list[int]]:
         return []
     if m == 0:
         return identity_matrix(n)
-    _, S, V = smith_normal_form(A)
+    _, S, V, _ = smith_normal_form(A, ("V",))
     diag = [S[i][i] for i in range(min(m, n))]
     cols = [j for j in range(n) if j >= len(diag) or diag[j] == 0]
     return [[V[r][j] for r in range(n)] for j in cols]
@@ -366,7 +403,7 @@ def solve_congruence_columns(A: Matrix, rhs, moduli) -> list[list[int]] | None:
     c_i ≡ 0 (mod t).  (Cohen, GTM 138, §2.4.3.)
     """
     n = len(A[0]) if A else 0
-    U, S, V = smith_normal_form(A)
+    U, S, V, _ = smith_normal_form(A, ("U", "V"))
     diag = [S[i][i] if i < n else 0 for i in range(len(A))]
     cols = []
     for b, t in zip(rhs, moduli):

@@ -24,6 +24,7 @@ from pptor.groups import (
     parse_group,
     quotient,
 )
+from pptor.intlinalg import hermite_row_basis, lattice_coords, smith_normal_form
 
 
 def test_invariant_factors():
@@ -132,6 +133,61 @@ def test_as_group_with_embedding():
         assert Homomorphism(G, M, emb).image() == S
         if M.is_finite:
             assert G.order() == S.order()
+
+
+def _abstract_form_by_general_route(H):
+    """Reference for as_group_with_embedding: the coordinates of each
+    m_i·e_i in H's basis, their HNF by hermite_row_basis, the full Smith
+    form with V⁻¹, and the generators times the basis as a dense product."""
+    L = [list(r) for r in H.basis]
+    rel = hermite_row_basis(
+        [lattice_coords(L, r) for r in H.ambient.relation_basis])
+    _, S, _, Vi = smith_normal_form(rel)
+    keep = [i for i in range(len(L)) if S[i][i] != 1]
+    emb = [[sum(Vi[i][k] * L[k][j] for k in range(len(L)))
+            for j in range(len(L[0]))] for i in keep]
+    return tuple(S[i][i] for i in keep), emb
+
+
+def _shuffled_with_trivial_factors(rng, moduli):
+    """moduli in a seeded order, with up to two Z/1 factors inserted."""
+    moduli = list(moduli)
+    rng.shuffle(moduli)
+    for _ in range(rng.randint(0, 2)):
+        moduli.insert(rng.randint(0, len(moduli)), 1)
+    return FgGroup(moduli)
+
+
+def test_abstract_form_matches_general_route():
+    """The abstract form of a finite subgroup, built from its square HNF,
+    equals the general route's on every subgroup of every group of order
+    ≤ 32 as listed and with its factors shuffled and Z/1 factors inserted,
+    and on a few order-64 groups."""
+    rng = random.Random(1414)
+    groups = [M for G in abelian_groups_upto(32)
+              for M in (G, _shuffled_with_trivial_factors(rng, G.moduli))]
+    groups += [FgGroup(m) for m in ((4, 1, 4, 4), (2, 4, 2, 4), (16, 1, 4))]
+    pairs = 0
+    for M in groups:
+        for H in all_subgroups(M):
+            G, emb = H.as_group_with_embedding()
+            assert (G.moduli, emb) == _abstract_form_by_general_route(H), \
+                (M.moduli, H.basis)
+            pairs += 1
+    assert pairs == 2060 + 129 + 249 + 29
+
+
+def test_abstract_form_rejects_a_basis_missing_a_relation():
+    """A basis whose lattice misses some m_i·e_i is refused by a GroupError,
+    which python -O keeps."""
+    M = FgGroup((2, 2))
+    H = Subgroup.__new__(Subgroup)
+    H.ambient, H.basis = M, ((4, 0), (0, 1))  # misses 2·e_0
+    with pytest.raises(GroupError, match="relation row outside"):
+        H.as_group_with_embedding()
+    H.basis = ((1, 1), (0, 4))  # misses 2·e_1
+    with pytest.raises(GroupError, match="relation row outside"):
+        H.as_group_with_embedding()
 
 
 def _closure(M, gens):

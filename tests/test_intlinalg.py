@@ -34,7 +34,7 @@ def rand_matrix(rng, rows, cols, bound=9):
 
 def test_snf_small():
     A = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    U, S, V = smith_normal_form(A)
+    U, S, V, _ = smith_normal_form(A, ("U", "V"))
     assert mat_mul(mat_mul(U, A), V) == S
     assert snf_diagonal(A) == [2, 2, 156]
 
@@ -44,7 +44,7 @@ def test_snf_random_properties():
     for _ in range(150):
         r, c = rng.randint(1, 4), rng.randint(1, 4)
         A = rand_matrix(rng, r, c)
-        U, S, V, Vi = smith_normal_form(A, inverses=True)
+        U, S, V, Vi = smith_normal_form(A)
         assert mat_mul(mat_mul(U, A), V) == S
         assert abs(det(U)) == 1 and abs(det(V)) == 1
         assert mat_mul(V, Vi) == identity_matrix(c)
@@ -58,6 +58,52 @@ def test_snf_random_properties():
             for j in range(c):
                 if i != j:
                     assert S[i][j] == 0
+
+
+def _matrix(rows, cols, entries=st.integers(-9, 9)):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+_SNF_SUBSETS = [set(c) for k in range(4)
+                for c in itertools.combinations(("U", "V", "Vinv"), k)]
+
+
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda shape: _matrix(*shape)))
+@example([])                              # 0 × 0 (0 × n reads as 0 × 0)
+@example([[], [], []])                    # 3 × 0
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[0, 3, -6], [0, 0, 0], [4, -2, 0]])
+@example([[-4, 6], [6, -9], [0, 0], [10, 15]])
+def test_snf_builds_only_the_named_transforms(A):
+    """Every subset of the transforms gives the full call's S and the full
+    call's value of each transform it names, None for the others; the full
+    call has U·A·V = S and V·V⁻¹ = I."""
+    U, S, V, Vi = full = smith_normal_form(A)
+    assert mat_mul(mat_mul(U, A), V) == S
+    assert mat_mul(V, Vi) == identity_matrix(len(V))
+    for names in _SNF_SUBSETS:
+        part = smith_normal_form(A, names)
+        assert part[1] == S
+        for k, name in ((0, "U"), (2, "V"), (3, "Vinv")):
+            assert part[k] == (full[k] if name in names else None), names
+    with pytest.raises(ValueError, match="unknown"):
+        smith_normal_form(A, ("V", "W"))
+
+
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+       .flatmap(lambda d: st.tuples(_matrix(d[0], d[1]), _matrix(d[1], d[2]))))
+@example(([], []))
+@example(([[], []], []))                  # 2 × 0 times 0 × 0
+@example(([[0, 0], [0, 0]], [[1, -2, 3], [4, 5, -6]]))
+@example(([[1, -2], [0, 3]], [[0, 0, 0], [0, 0, 0]]))
+def test_mat_mul_matches_dense_product(case):
+    A, B = case
+    n = len(B[0]) if B else 0
+    assert mat_mul(A, B) == [
+        [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(n)]
+        for i in range(len(A))]
 
 
 def test_hermite_canonical():
