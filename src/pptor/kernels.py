@@ -99,8 +99,11 @@ def brute_force_solutions(C, D, moduli) -> list[tuple[tuple[int, ...], ...]]:
 
     Returns, in deterministic order, tuples of element coordinate vectors
     (one per free variable).  Requires every modulus ≥ 1 (finite group).
+    Decodes the codes of brute_force_codes through a table of all |M|
+    elements, built here because no other caller reads it.
     """
-    sols, elem, nfree, order = brute_force_codes(C, D, moduli)
+    sols, nfree, order = brute_force_codes(C, D, moduli)
+    elem = _element_table([int(m) for m in moduli], order)
     return _decode_assignments(sols, elem, nfree, order)
 
 
@@ -120,9 +123,10 @@ def encode_assignment(assign, moduli) -> int:
 
 
 def brute_force_codes(C, D, moduli):
-    """Like brute_force_solutions but stops at the encoded solution array.
+    """Like brute_force_solutions but stops at the encoded solution array,
+    so it builds no element table.
 
-    Returns (sols, elem, nfree, order): sols is a strictly ascending int64
+    Returns (sols, nfree, order): sols is a strictly ascending int64
     array of mixed-radix codes (encode_assignment) of the solution
     assignments.  Coordinate c of free variable v is the digit of weight
     order^v·stride_c, stride_c = m_0⋯m_{c−1}, so the solution set of M is
@@ -140,10 +144,9 @@ def brute_force_codes(C, D, moduli):
     order = math.prod(moduli)
     _check_sizes(order, neq, nfree, nbound)
 
-    elem = _element_table(moduli, order)
     if neq == 0 or rank == 0:
         # no constraints (or trivial group): everything is a solution
-        return np.arange(order ** nfree, dtype=np.int64), elem, nfree, order
+        return np.arange(order ** nfree, dtype=np.int64), nfree, order
 
     # the sum below always builds a fresh array, so no caller ever holds
     # a cached per-factor array
@@ -157,7 +160,7 @@ def brute_force_codes(C, D, moduli):
         sols = (sols[:, None] + reweighted[None, :]).ravel()
         stride *= m
     sols.sort()
-    return sols, elem, nfree, order
+    return sols, nfree, order
 
 
 def _decode_assignments(sols, elem, nfree, order):

@@ -8,7 +8,10 @@ pp-types of elements over a parameter subgroup are decided two ways: a
 canonical descriptor (memberships a − m ∈ p^k N + N[p^l]) and an exact
 bidirectional homomorphism oracle, valid because finite abelian groups are
 pure-injective.  The oracle is authoritative; the acceptance suite pins
-their agreement.
+their agreement.  In N = ⊕ ℤ/m_j the subgroup p^k N + N[p^l] is diagonal,
+so the descriptor reads each membership from the p-valuations of the
+coordinates of a − m, with no lattice algebra; the oracle passes its
+constraints to find_constrained_hom as coordinate tuples.
 """
 
 from __future__ import annotations
@@ -29,12 +32,7 @@ from .groups import (
     direct_sum,
     factorize,
 )
-from .intlinalg import (
-    congruence_lattice,
-    in_lattice,
-    lattice_sum,
-    solve_congruence_columns,
-)
+from .intlinalg import congruence_lattice, in_lattice, solve_congruence_columns
 
 
 class PpSolveError(ValueError):
@@ -184,7 +182,9 @@ class PpTypeDescriptor:
     That family generates every pp-definable subgroup of a finite abelian
     group (the lattice generated by the two chains p^k N and N[p^l]), so the
     table pins the pp-type.  T(k, l) is the set of parameters m (abstract
-    coordinates of the parameter group) meeting the condition; beyond
+    coordinates of the parameter group) meeting the condition: with
+    e_j = v_p(m_j) and w_j the p-valuation of coordinate j of a − m, capped
+    at e_j, those m for which every j has w_j ≥ k or w_j + l ≥ e_j.  Beyond
     K_p = v_p(exp N) the table repeats its K_p row and column.  Each prime
     keeps T only up to its least clamp K, the least K with
     T(k, l) = T(min(k, K), min(l, K)) for all k, l, and primes with K = 0
@@ -207,14 +207,27 @@ def _trimmed(T):
             return tuple(row[:K + 1] for row in T[:K + 1])
 
 
-@lru_cache(maxsize=4096)
-def _mixed_sum_lattice(N: FgGroup, p: int, k: int, l: int):
-    """HNF coordinate lattice of p^k N + N[p^l]."""
-    g = N.rank
-    pk = p ** k
-    pkN = [[pk if j == i else 0 for j in range(g)] for i in range(g)]
-    rows = lattice_sum(pkN, N.annihilator_lattice(p ** l), N.relation_basis)
-    return tuple(tuple(r) for r in rows)
+def _capped_valuation(n: int, p: int, cap: int) -> int:
+    """v_p(n) capped at cap; n = 0 reads as cap."""
+    v = 0
+    while v < cap and n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _mixed_sum_levels(d, e, p: int, kmax: int) -> tuple[int, ...]:
+    """Entry k ≤ kmax is the least l with d ∈ p^k N + N[p^l], where d holds
+    coordinates of N = ⊕ ℤ/m_j and e_j = v_p(m_j).
+
+    p^k N + N[p^l] = ⊕_j p^{min(k, max(e_j − l, 0))}·ℤ/m_j, so with
+    w_j = v_p(d_j) capped at e_j, d lies in it exactly when every j has
+    w_j ≥ k or w_j + l ≥ e_j: l must reach e_j − w_j for each j with
+    w_j < k.
+    """
+    w = [_capped_valuation(dj, p, ej) for dj, ej in zip(d, e)]
+    return tuple(max((ej - wj for wj, ej in zip(w, e) if wj < k), default=0)
+                 for k in range(kmax + 1))
 
 
 def pp_type_descriptor(a: Element, M: Subgroup, N: FgGroup,
@@ -240,23 +253,22 @@ def pp_type_descriptor(a: Element, M: Subgroup, N: FgGroup,
         Mg, emb = M.as_group_with_embedding()
     else:
         Mg, emb = identification
-    diffs = []  # (m in abstract coordinates, ambient coordinates of a − m)
+    moduli = N.moduli
+    cols = range(N.rank)
+    diffs = []  # (m in abstract coordinates, coordinates of a − m in N)
     for x in Mg.elements():
-        amb = N.element(
-            [sum(c * emb[i][j] for i, c in enumerate(x.coords))
-             for j in range(N.rank)]
-        )
-        diffs.append((x.coords, list((a - amb).coords)))
+        diffs.append((x.coords, [
+            (a.coords[j] - sum(c * emb[i][j] for i, c in enumerate(x.coords)))
+            % moduli[j] for j in cols]))
 
     tables = []
     for p, K in factorize(N.exponent()).items():
-        T = []
-        for k in range(K + 1):
-            row = []
-            for l in range(K + 1):
-                lat = _mixed_sum_lattice(N, p, k, l)
-                row.append(frozenset(mc for mc, d in diffs if in_lattice(lat, d)))
-            T.append(tuple(row))
+        e = [_capped_valuation(m, p, K) for m in moduli]
+        levels = [(mc, _mixed_sum_levels(d, e, p, K)) for mc, d in diffs]
+        T = tuple(
+            tuple(frozenset(mc for mc, lv in levels if lv[k] <= l)
+                  for l in range(K + 1))
+            for k in range(K + 1))
         T = _trimmed(T)
         if len(T) > 1:
             tables.append((p, T))
@@ -296,7 +308,7 @@ def _oracle_equal_emb(a1, emb1, N1, a2, emb2, N2) -> bool:
     A generator that is zero on both sides (a coordinate ℤ/1 of the
     parameter group) asks only 0 ↦ 0, which every homomorphism meets, so
     its pair is dropped; a pair with one zero side still constrains."""
-    cons12 = [(N1.element(r1), N2.element(r2))
+    cons12 = [(N1.reduce_coords(r1), N2.reduce_coords(r2))
               for r1, r2 in zip(emb1, emb2) if any(r1) or any(r2)]
     cons12.append((a1, a2))
     cons21 = [(b, a) for a, b in cons12]
@@ -309,9 +321,9 @@ def _oracle_equal_emb(a1, emb1, N1, a2, emb2, N2) -> bool:
 
 
 # count_types classifies every element of M ⊕ C for every C of order
-# ≤ bound/|M|.  At bound 32 with the oracle, M = 0 takes 0.3 s and the
-# slowest M, (ℤ/1)^64, 0.4 s; bound 200 ran for longer than 20 s.  Larger
-# bounds are refused.
+# ≤ bound/|M|.  At bound 32 with the oracle, M = 0 takes 0.2 s and the
+# slowest M, (ℤ/1)^64, 0.2–0.3 s in process (2 CPUs, Python 3.11); bound
+# 200 ran for longer than 20 s.  Larger bounds are refused.
 MAX_TYPES_BOUND = 32
 
 

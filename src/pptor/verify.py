@@ -63,7 +63,7 @@ def check_evaluation_oracle():
         nfree = len(f.free_vars)
         for M in groups:
             S = ppsolve.evaluate(f, M)
-            sols, _, _, _ = kernels.brute_force_codes(mf.C, mf.D, M.moduli)
+            sols, _, _ = kernels.brute_force_codes(mf.C, mf.D, M.moduli)
             if S.order() != len(sols):
                 return False, f"cardinality mismatch for {f} on {M}"
             # generators of S all solve φ, and |S| = #solutions, so the

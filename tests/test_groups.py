@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given
@@ -24,7 +25,12 @@ from pptor.groups import (
     parse_group,
     quotient,
 )
-from pptor.intlinalg import hermite_row_basis, lattice_coords, smith_normal_form
+from pptor.intlinalg import (
+    hermite_row_basis,
+    lattice_coords,
+    smith_normal_form,
+    snf_diagonal,
+)
 
 
 def test_invariant_factors():
@@ -32,6 +38,22 @@ def test_invariant_factors():
     assert FgGroup((2, 3)).invariant_factors == (6,)
     assert FgGroup((0, 6, 4)).invariant_factors == (2, 12)
     assert FgGroup((0, 6, 4)).free_rank == 1
+
+
+@given(st.lists(st.one_of(st.just(0), st.integers(1, 10**4),
+                          st.sampled_from((1, 12, 1000036000099))),
+                max_size=6))
+@example([])
+@example([0])
+@example([1, 1])
+@example([1000036000099, 6, 0])
+def test_invariant_factors_match_smith_form(moduli):
+    # the gcd/lcm pass over the moduli against the Smith form of diag(m)
+    M = FgGroup(moduli)
+    rel = M.relation_basis
+    diag = [d for d in (snf_diagonal(rel) if rel else []) if d]
+    assert M.invariant_factors == tuple(d for d in diag if d != 1)
+    assert M.free_rank == M.rank - len(diag)
 
 
 def test_parse_group_dsl():
@@ -336,6 +358,22 @@ def test_homomorphism_validation():
     M2, N2 = FgGroup((2,)), FgGroup((4,))
     with pytest.raises(GroupError):
         Homomorphism(M2, N2, [[1]])  # 2·1 ≠ 0 in Z/4
+
+
+def test_homomorphism_rejects_ill_defined_rows():
+    # the message shows the image row reduced as an element of the target
+    Z3, Z6 = FgGroup((3,)), FgGroup((6,))
+    ZZ4 = FgGroup((0, 4))
+    Homomorphism(Z6, ZZ4, [[0, 2]])  # 6·2 ≡ 0 (mod 4), 6·0 = 0 in Z
+    Homomorphism(Z3, FgGroup((0, 6)), [[0, -10]])  # 3·(−10) ≡ 0 (mod 6)
+    Homomorphism(FgGroup((0,)), ZZ4, [[5, 1]])  # a free source row is free
+    for source, row, text in (
+            (Z3, [0, 5], "3·(0, 1) ≠ 0 in target"),  # 3·5 ≢ 0 (mod 4)
+            (Z6, [1, 0], "6·(1, 0) ≠ 0 in target"),  # 6·1 ≠ 0 in Z
+            (Z6, [-2, 6], "6·(-2, 2) ≠ 0 in target")):
+        with pytest.raises(GroupError, match=re.escape(
+                f"incompatible homomorphism: {text}")):
+            Homomorphism(source, ZZ4, [row])
 
 
 def test_homomorphism_image():

@@ -157,7 +157,7 @@ def test_codes_consistent_with_solutions():
         f = corpus.random_formula(rng)
         M = corpus.random_group(rng, moduli_pool=(2, 3, 4), free_ok=False)
         m = normalize(f)
-        sols, _, _, _ = brute_force_codes(m.C, m.D, M.moduli)
+        sols, _, _ = brute_force_codes(m.C, m.D, M.moduli)
         decoded = brute_force_solutions(m.C, m.D, M.moduli)
         assert len(sols) == len(decoded)
         assert sorted(sols.tolist()) == sorted(

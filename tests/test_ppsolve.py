@@ -13,7 +13,9 @@ from pptor.groups import (
     Subgroup,
     abelian_groups_upto,
     all_subgroups,
+    factorize,
 )
+from pptor.intlinalg import hermite_row_basis, in_lattice, lattice_sum
 from pptor.kernels import brute_force_solutions
 from pptor.purity import is_pure
 
@@ -222,6 +224,101 @@ def test_descriptor_is_canonical_across_exponents():
     assert ppsolve.hom_oracle_equal(a1, N1.zero_subgroup(), N1,
                                     a2, N2.zero_subgroup(), N2)
     assert db != d1 and db != d2
+
+
+def _mixed_sum_lattice(N, p, k, l):
+    """HNF coordinate lattice of p^k N + N[p^l], summed as lattices."""
+    pkN = [[p ** k if j == i else 0 for j in range(N.rank)]
+           for i in range(N.rank)]
+    return lattice_sum(pkN, N.annihilator_lattice(p ** l), N.relation_basis)
+
+
+def _lattice_descriptor(a, Mg, emb, N, members):
+    """Reference descriptor over the parameters Mg embedded by emb: a − m
+    looked up in the elements of each lattice p^k N + N[p^l], listed by
+    in_lattice (cached in members by (p, k, l))."""
+    diffs = [(x.coords, (a - N.element(
+        [sum(c * emb[i][j] for i, c in enumerate(x.coords))
+         for j in range(N.rank)])).coords) for x in Mg.elements()]
+    tables = []
+    for p, K in factorize(N.exponent()).items():
+        T = []
+        for k in range(K + 1):
+            row = []
+            for l in range(K + 1):
+                if (p, k, l) not in members:
+                    lat = _mixed_sum_lattice(N, p, k, l)
+                    members[p, k, l] = {x.coords for x in N.elements()
+                                        if in_lattice(lat, x.coords)}
+                row.append(frozenset(mc for mc, d in diffs
+                                     if d in members[p, k, l]))
+            T.append(tuple(row))
+        T = ppsolve._trimmed(T)
+        if len(T) > 1:
+            tables.append((p, T))
+    return ppsolve.PpTypeDescriptor(Mg.moduli, tuple(tables))
+
+
+def test_descriptor_matches_lattice_route():
+    # every subgroup, pure or not, of every group of order ≤ 32, with N's
+    # factors as listed, shuffled, and with a Z/1 factor inserted; two
+    # seeded elements a per subgroup
+    rng = random.Random(1501)
+    count = 0
+    for G in abelian_groups_upto(32):
+        shuffled = rng.sample(G.moduli, len(G.moduli))
+        padded = list(shuffled)
+        padded.insert(rng.randrange(len(padded) + 1), 1)
+        for moduli in (G.moduli, tuple(shuffled), tuple(padded)):
+            N = FgGroup(moduli)
+            elements = list(N.elements())
+            members = {}
+            for S in all_subgroups(N):
+                Mg, emb = S.as_group_with_embedding()
+                for a in rng.sample(elements, min(2, len(elements))):
+                    d = ppsolve.pp_type_descriptor(
+                        a, S, N, check_purity=False, identification=(Mg, emb))
+                    assert d == _lattice_descriptor(a, Mg, emb, N, members), \
+                        (moduli, S.basis, a.coords)
+                    count += 1
+    assert count > 5000
+
+
+def _valuation(n, p):
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
+@st.composite
+def _mixed_sum_cases(draw):
+    moduli = tuple(draw(st.lists(
+        st.sampled_from((1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 25, 27)),
+        min_size=1, max_size=3)))
+    p = draw(st.sampled_from((2, 3, 5)))
+    ds = draw(st.lists(st.lists(st.integers(-30, 30), min_size=len(moduli),
+                                max_size=len(moduli)), min_size=1, max_size=4))
+    return FgGroup(moduli), p, ds
+
+
+@given(_mixed_sum_cases())
+def test_mixed_sum_is_diagonal(case):
+    # p^k N + N[p^l] = ⊕_j p^{min(k, max(e_j − l, 0))}·ℤ/m_j, and
+    # _mixed_sum_levels reads membership in it from p-valuations
+    N, p, ds = case
+    e = [_valuation(m, p) for m in N.moduli]
+    for k in range(5):
+        for l in range(5):
+            lat = _mixed_sum_lattice(N, p, k, l)
+            diag = [[p ** min(k, max(ej - l, 0)) if j == i else 0
+                     for j in range(N.rank)] for i, ej in enumerate(e)]
+            assert lat == hermite_row_basis(diag + N.relation_basis)
+            for d in ds:
+                reduced = [x % m for x, m in zip(d, N.moduli)]
+                levels = ppsolve._mixed_sum_levels(reduced, e, p, 4)
+                assert (levels[k] <= l) == in_lattice(lat, d)
 
 
 def test_descriptor_rejects_impure_base():
