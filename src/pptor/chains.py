@@ -61,8 +61,6 @@ def witness_chain(p: int, M0: int, k: int) -> tuple[FormulaChain, FgGroup]:
     B = ⊕_{m≤M0} (ℤ/p^m)^k."""
     if M0 < 1 or k < 1:
         raise ValueError("M0 and k must be at least 1")
-    # B has rank M0·k; at rank 64 `chain --witness 2 64 1 --indices` takes
-    # 6–7 s, at rank 360 longer than 20 s
     if M0 * k > MAX_RANK:
         raise ValueError(
             f"rank M0·k = {M0 * k} of B exceeds the limit {MAX_RANK}")

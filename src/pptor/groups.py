@@ -19,9 +19,9 @@ from .intlinalg import (
     in_lattice,
     intersection_mod,
     lattice_coords,
-    lattice_index,
     lattice_intersection,
     mat_mul,
+    pivot_product,
     reduce_above_pivots,
     smith_normal_form,
 )
@@ -38,11 +38,10 @@ TRIAL_DIVISION_LIMIT = 10**6
 
 # Largest rank (number of cyclic coordinates) of a group the parser builds
 # and evaluate works in.  HNF and Smith form cost grows steeply with the
-# rank: at rank 64 `ulm "(Z/1000000)^64"` takes about 0.5 s and
-# `chain --witness 2 64 1 --indices` about 1.5 s, while with the limit
-# lifted `complement 0 "(Z/2)^300"` takes 2.6–3.6 s (0.9–1.1 s of it in
-# purity.complement) and `ulm "(Z/2)^600"` 2.4–2.8 s, most of it modular
-# HNFs of rank 1,200 in the Ulm socle layers (2 CPUs, Python 3.11).
+# rank: at rank 64 `chain --witness 2 64 1 --indices` takes 0.8–0.9 s, and
+# with the limit lifted `complement 0 "(Z/2)^300"` 1.3–1.6 s and
+# `chain --witness 2 60 6` (rank 360) 0.9–1.1 s.  `ulm` builds no lattice:
+# `ulm "(Z/2)^600"` takes 0.02–0.03 s in process (2 CPUs, Python 3.11).
 MAX_RANK = 64
 
 
@@ -155,7 +154,8 @@ class FgGroup:
             yield Element(self, coords)
 
     def annihilator_lattice(self, n: int) -> list[list[int]]:
-        """HNF basis of {x ∈ ℤ^g : n·x ∈ relation lattice} (coords of M[n])."""
+        """HNF basis of {x ∈ ℤ^g : n·x ∈ relation lattice} (coords of M[n]):
+        a multiple of e_i per coordinate, so already in Hermite form."""
         g = self.rank
         rows = []
         for i, m in enumerate(self.moduli):
@@ -167,17 +167,14 @@ class FgGroup:
                 continue
             step = m // gcd(m, n) if n else 1
             rows.append([step if j == i else 0 for j in range(g)])
-        return hermite_row_basis(rows) if rows else []
+        return rows
 
     def torsion_lattice(self) -> list[list[int]]:
-        """HNF basis of the coordinate lattice of t(M)."""
+        """HNF basis of the coordinate lattice of t(M): the unit vectors of
+        the coordinates ℤ/m, already in Hermite form."""
         g = self.rank
-        rows = [
-            [1 if j == i else 0 for j in range(g)]
-            for i, m in enumerate(self.moduli)
-            if m != 0
-        ]
-        return hermite_row_basis(rows) if rows else []
+        return [[1 if j == i else 0 for j in range(g)]
+                for i, m in enumerate(self.moduli) if m != 0]
 
     def subgroup(self, gens) -> "Subgroup":
         return Subgroup.from_generators(self, gens)
@@ -259,8 +256,9 @@ class Subgroup:
     """A subgroup of an FgGroup, canonically a row lattice R ⊆ L ⊆ ℤ^g.
 
     In a finite ambient L contains R = diag(m), so its HNF is square, built
-    by hermite_mod (or checked by _from_hnf when it is already known), and
-    |L/R| is Π m_i over the product of the pivots.
+    by hermite_mod (or checked by _from_hnf when it is already known).  In
+    any ambient, orders and indices are read off the pivots of the HNFs
+    (intlinalg.pivot_product).
     """
 
     def __init__(self, ambient: FgGroup, lattice_rows):
@@ -349,12 +347,15 @@ class Subgroup:
         return hash((self.ambient, self.basis))
 
     def order(self):
-        """|L/R|, i.e. the number of elements, or inf."""
-        if self.ambient.is_finite:
-            return (prod(self.ambient.moduli)
-                    // prod(row[i] for i, row in enumerate(self.basis)))
-        idx = lattice_index(self.basis, self.ambient.relation_basis)
-        return inf if idx is None else idx
+        """|L/R|, i.e. the number of elements, or inf.
+
+        R is spanned by m_i·e_i for the nonzero moduli, so L/R is finite iff
+        L has as many rows, and then |L/R| = Π m_i over L's pivot product.
+        """
+        nonzero = [m for m in self.ambient.moduli if m]
+        if len(self.basis) != len(nonzero):
+            return inf
+        return prod(nonzero) // pivot_product(self.basis)
 
     def sum(self, other: "Subgroup") -> "Subgroup":
         if self.ambient != other.ambient:
@@ -376,10 +377,9 @@ class Subgroup:
         """[other : self]; self ⊆ other required."""
         if not self <= other:
             raise GroupError("not a sub-subgroup")
-        if self.ambient.is_finite:
-            return other.order() // self.order()
-        idx = lattice_index(other.basis, self.basis)
-        return inf if idx is None else idx
+        if len(self.basis) != len(other.basis):
+            return inf
+        return pivot_product(self.basis) // pivot_product(other.basis)
 
     def elements(self):
         """Elements of the subgroup as ambient Elements; finite only."""

@@ -1,5 +1,6 @@
 """Exact integer matrix algebra: Smith and Hermite normal forms, kernels,
-Diophantine solving, systems of congruences, and row-lattice arithmetic.
+Diophantine solving, systems of congruences, and row-lattice arithmetic
+(membership, intersection, and indices read off Hermite pivots).
 
 Everything here works on plain Python ints (arbitrary precision); matrices
 are lists of lists.  Pivoting is deterministic (smallest absolute value,
@@ -11,7 +12,8 @@ of its right factor and skips the zero entries of its left one.
 ``hermite_row_basis`` is the one general HNF.  Lattices that contain
 diag(m) with every m_i ≥ 1 (the subgroups of a finite group) take the
 finite-ambient path: ``hermite_mod`` builds the same square HNF with entries
-reduced modulo m, and ``intersection_mod`` intersects two of them.
+reduced modulo m, and ``intersection_mod`` intersects two of them.  Every
+order and index is a quotient of two ``pivot_product``s, in any ambient.
 
 Congruence systems come in two shapes.  ``congruence_lattice`` solves
 A·x ≡ 0 with a modulus per row, through one slack column per nonzero
@@ -51,30 +53,6 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
 
 def mat_vec(A: Matrix, v: list[int]) -> list[int]:
     return [sum(a * x for a, x in zip(row, v)) for row in A]
-
-
-def det(A: Matrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    n = len(A)
-    if n == 0:
-        return 1
-    M = [row[:] for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k] != 0:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
 
 
 SNF_TRANSFORMS = frozenset({"U", "V", "Vinv"})
@@ -200,11 +178,6 @@ def smith_normal_form(A: Matrix, transforms=SNF_TRANSFORMS):
     return U, S, V, Vi
 
 
-def snf_diagonal(A: Matrix) -> list[int]:
-    _, S, _, _ = smith_normal_form(A, ())
-    return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
-
-
 def hermite_row_basis(rows) -> list[list[int]]:
     """Unique row Hermite normal form of the lattice spanned by ``rows``.
 
@@ -320,6 +293,22 @@ def _pivot_col(row) -> int:
     return next(c for c, v in enumerate(row) if v)
 
 
+def pivot_product(basis) -> int:
+    """Product of the pivots of an echelon basis: the first nonzero entry of
+    each row.
+
+    HNF lattices L' ⊆ L of equal rank span the same ℚ-space, so they share
+    their pivot columns and [L : L'] is pivot_product(L') / pivot_product(L);
+    when the ranks differ the index is infinite (Cohen, GTM 138, §2.4)."""
+    product = 1
+    for row in basis:
+        for v in row:
+            if v:
+                product *= v
+                break
+    return product
+
+
 def lattice_coords(basis: list[list[int]], v) -> list[int] | None:
     """Coefficients expressing v in an echelon (HNF) basis, or None.
 
@@ -426,11 +415,6 @@ def solve_congruence_columns(A: Matrix, rhs, moduli) -> list[list[int]] | None:
     return cols
 
 
-def lattice_sum(*bases) -> list[list[int]]:
-    rows = [row for b in bases for row in b]
-    return hermite_row_basis(rows)
-
-
 def lattice_intersection(b1: list[list[int]], b2: list[list[int]]) -> list[list[int]]:
     """HNF basis of the intersection of two row lattices."""
     if not b1 or not b2:
@@ -455,20 +439,3 @@ def intersection_mod(b1, b2, moduli) -> list[list[int]]:
     n = len(moduli)
     hnf = hermite_mod(_zassenhaus_rows(b1, b2, n), tuple(moduli) * 2)
     return [row[n:] for row in hnf[n:]]
-
-
-def lattice_index(outer: list[list[int]], inner: list[list[int]]):
-    """Index [outer : inner] for row lattices with inner ⊆ outer.
-
-    Returns a positive int, or None when the index is infinite.
-    """
-    if len(inner) < len(outer):
-        return None
-    Q = []
-    for row in inner:
-        coeffs = lattice_coords(outer, row)
-        if coeffs is None:
-            raise ValueError("inner lattice not contained in outer lattice")
-        Q.append(coeffs)
-    d = det(Q)
-    return abs(d) if d else None

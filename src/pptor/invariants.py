@@ -1,8 +1,9 @@
 """Ulm-style invariants of finite abelian groups and the symbolic
 limit-model decompositions.
 
-α_{p,n} = dim_{F_p}((p^{n−1}G)[p] / (p^nG)[p]) is computed literally by
-subgroup arithmetic; γ_p (divisible part) is zero for finite groups.
+α_{p,n} = dim_{F_p}((p^{n−1}G)[p] / (p^nG)[p]) is read off the moduli: for
+G = ⊕ ℤ/m_j it is the number of j with v_p(m_j) = n.  γ_p (divisible part)
+is zero for finite groups.
 Symbolic groups are formal ⊕-sums of atoms Z(p^n), Z(p^inf), p-adic and
 rational summands with cardinal multiplicities, plus the wrappers t(·),
 PE(·), Prod_p(·), Sum_p(·), Sum_n(·) and ·^(card) used by the §-5-style
@@ -11,10 +12,11 @@ decompositions; rendering is canonical so golden tests are byte-exact.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import cardinals as C
-from .groups import FgGroup, GroupError, Subgroup, direct_sum, factorize
+from .groups import FgGroup, GroupError, direct_sum, factorize
 
 
 @dataclass(frozen=True)
@@ -46,31 +48,19 @@ class UlmInvariants:
 
 
 def ulm_invariants(G: FgGroup) -> UlmInvariants:
-    """α_{p,n} by the formula dim_{F_p}((p^{n−1}G)[p]/(p^nG)[p]); γ = 0."""
+    """α_{p,n} = #{j : v_p(m_j) = n} for G = ⊕ ℤ/m_j; γ = 0.
+
+    ℤ/m_j is the sum of its primary parts ℤ/p^{v_p(m_j)}, and ℤ/p^e adds 1
+    to α_{p,e} alone, so α_{p,n} = dim_{F_p}((p^{n−1}G)[p]/(p^nG)[p]) is a
+    count over the moduli, each factored once per distinct value.
+    """
     if not G.is_finite:
         raise GroupError("Ulm invariants are computed for finite groups")
     alpha: dict = {}
-    full = G.full_subgroup()
-    for p, K in factorize(G.exponent()).items():
-        socle = Subgroup(G, G.annihilator_lattice(p))
-        for n in range(1, K + 1):
-            upper = _scaled(G, full, p ** (n - 1)).intersection(socle)
-            lower = _scaled(G, full, p ** n).intersection(socle)
-            idx = lower.index_in(upper)
-            a = 0
-            while idx > 1:
-                if idx % p:
-                    raise GroupError(
-                        f"index {idx} of socle layers is not a power of {p}")
-                idx //= p
-                a += 1
-            if a:
-                alpha[(p, n)] = a
+    for m, count in Counter(G.moduli).items():
+        for p, e in factorize(m).items():
+            alpha[(p, e)] = alpha.get((p, e), 0) + count
     return UlmInvariants.from_dicts(alpha, {})
-
-
-def _scaled(G: FgGroup, H: Subgroup, n: int) -> Subgroup:
-    return Subgroup(G, [[n * v for v in row] for row in H.basis])
 
 
 def reconstruct(inv: UlmInvariants) -> FgGroup:

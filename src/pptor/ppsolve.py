@@ -16,7 +16,6 @@ constraints to find_constrained_hom as coordinate tuples.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -146,28 +145,6 @@ def find_constrained_hom(source: FgGroup, target: FgGroup, constraints):
         return None
     return Homomorphism(source, target, [[col[i] for col in cols]
                                          for i in range(r1)])
-
-
-def enumerate_homs(source: FgGroup, target: FgGroup):
-    """All homomorphisms source → target by DFS over generator images.
-
-    Independent cross-check for find_constrained_hom; finite groups only.
-    """
-    if not (source.is_finite and target.is_finite):
-        raise GroupError("hom enumeration requires finite groups")
-    cand = []
-    for d in source.moduli:
-        ann = target.annihilator_lattice(d)
-        opts = []
-        seen = set()
-        H = Subgroup(target, ann)
-        for e in H.elements():
-            if e.coords not in seen:
-                seen.add(e.coords)
-                opts.append(list(e.coords))
-        cand.append(sorted(opts))
-    for combo in itertools.product(*cand):
-        yield Homomorphism(source, target, combo)
 
 
 # ---------------------------------------------------------------------------

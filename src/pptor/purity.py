@@ -28,7 +28,7 @@ is ker r, the image of 1 − ι∘r for the inclusion ι of H.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .groups import (
     FgGroup,
@@ -37,7 +37,7 @@ from .groups import (
     factorize,
     quotient,
 )
-from .intlinalg import hermite_mod
+from .intlinalg import hermite_mod, pivot_product
 
 # purity.kernel_basis stays importable: perfbench's tracer test checks that a
 # wrapper installed on it here is removed again.
@@ -53,21 +53,17 @@ def _torsion_exponent(M: FgGroup) -> int:
     return inv[-1] if inv else 1
 
 
-def _index(rows, moduli) -> int:
-    """[ℤ^g : L] for L spanned by rows and diag(moduli), all moduli ≥ 1."""
-    return prod(row[j] for j, row in enumerate(hermite_mod(rows, moduli)))
-
-
 def _pure_at(n: int, H: Subgroup, M: FgGroup) -> bool:
     """n·M ∩ H = n·H for finite M, by orders (see the module docstring).
 
     In indices of lattices containing diag(m), |n·M ∩ H| = |n·H| reads
-    [ℤ^g : H] = [ℤ^g : H + diag(g)]·[ℤ^g : H + diag(m/g)].
+    [ℤ^g : H] = [ℤ^g : H + diag(g)]·[ℤ^g : H + diag(m/g)], and each index
+    [ℤ^g : L] is the pivot product of L's square HNF.
     """
     g = [gcd(n, m) for m in M.moduli]
-    index = prod(row[j] for j, row in enumerate(H.basis))
-    return index == (_index(H.basis, g)
-                     * _index(H.basis, [m // d for m, d in zip(M.moduli, g)]))
+    h = [m // d for m, d in zip(M.moduli, g)]
+    return pivot_product(H.basis) == (pivot_product(hermite_mod(H.basis, g))
+                                      * pivot_product(hermite_mod(H.basis, h)))
 
 
 def _meet_and_multiple(n: int, H: Subgroup, M: FgGroup):
@@ -117,14 +113,6 @@ def purity_witness(H: Subgroup, M: FgGroup):
     meet, nH = _meet_and_multiple(n, H, M)
     gens = map(M.element, meet.as_group_with_embedding()[1])
     return n, [a for a in gens if not nH.contains(a)][-1]
-
-
-def is_pure_via_splitting(H: Subgroup, M: FgGroup) -> bool:
-    """Independent decision: H is pure in a f.g. group iff it is a direct
-    summand, iff a retraction M → H exists."""
-    if H.ambient != M:
-        raise GroupError("subgroup of a different group")
-    return _retraction(H, M)[0] is not None
 
 
 def _retraction(H: Subgroup, M: FgGroup):

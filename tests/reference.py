@@ -1,0 +1,137 @@
+"""Reference routes that only the tests use.
+
+Each is an independent, slower way to compute what the library computes
+another way: lattice indices by determinants (`lattice_index`, `det`),
+lattice sums and Smith diagonals by a general HNF or Smith form, all
+homomorphisms by enumeration, purity by splitting, and the Ulm invariants
+by subgroup arithmetic on the socle layers.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from pptor.groups import (
+    FgGroup,
+    GroupError,
+    Homomorphism,
+    Subgroup,
+    factorize,
+)
+from pptor.intlinalg import (
+    Matrix,
+    hermite_row_basis,
+    lattice_coords,
+    smith_normal_form,
+)
+from pptor.invariants import UlmInvariants
+from pptor.purity import _retraction
+
+
+def det(A: Matrix) -> int:
+    """Determinant by fraction-free (Bareiss) elimination."""
+    n = len(A)
+    if n == 0:
+        return 1
+    M = [row[:] for row in A]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            for i in range(k + 1, n):
+                if M[i][k] != 0:
+                    M[k], M[i] = M[i], M[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
+
+
+def lattice_index(outer: list[list[int]], inner: list[list[int]]):
+    """Index [outer : inner] for row lattices with inner ⊆ outer.
+
+    Returns a positive int, or None when the index is infinite.
+    """
+    if len(inner) < len(outer):
+        return None
+    Q = []
+    for row in inner:
+        coeffs = lattice_coords(outer, row)
+        if coeffs is None:
+            raise ValueError("inner lattice not contained in outer lattice")
+        Q.append(coeffs)
+    d = det(Q)
+    return abs(d) if d else None
+
+
+def lattice_sum(*bases) -> list[list[int]]:
+    rows = [row for b in bases for row in b]
+    return hermite_row_basis(rows)
+
+
+def snf_diagonal(A: Matrix) -> list[int]:
+    _, S, _, _ = smith_normal_form(A, ())
+    return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
+
+
+def enumerate_homs(source: FgGroup, target: FgGroup):
+    """All homomorphisms source → target by DFS over generator images.
+
+    Independent cross-check for find_constrained_hom; finite groups only.
+    """
+    if not (source.is_finite and target.is_finite):
+        raise GroupError("hom enumeration requires finite groups")
+    cand = []
+    for d in source.moduli:
+        ann = target.annihilator_lattice(d)
+        opts = []
+        seen = set()
+        H = Subgroup(target, ann)
+        for e in H.elements():
+            if e.coords not in seen:
+                seen.add(e.coords)
+                opts.append(list(e.coords))
+        cand.append(sorted(opts))
+    for combo in itertools.product(*cand):
+        yield Homomorphism(source, target, combo)
+
+
+def is_pure_via_splitting(H: Subgroup, M: FgGroup) -> bool:
+    """Independent decision: H is pure in a f.g. group iff it is a direct
+    summand, iff a retraction M → H exists."""
+    if H.ambient != M:
+        raise GroupError("subgroup of a different group")
+    return _retraction(H, M)[0] is not None
+
+
+def ulm_invariants(G: FgGroup) -> UlmInvariants:
+    """α_{p,n} by the formula dim_{F_p}((p^{n−1}G)[p]/(p^nG)[p]); γ = 0."""
+    if not G.is_finite:
+        raise GroupError("Ulm invariants are computed for finite groups")
+    alpha: dict = {}
+    full = G.full_subgroup()
+    for p, K in factorize(G.exponent()).items():
+        socle = Subgroup(G, G.annihilator_lattice(p))
+        for n in range(1, K + 1):
+            upper = _scaled(G, full, p ** (n - 1)).intersection(socle)
+            lower = _scaled(G, full, p ** n).intersection(socle)
+            idx = lower.index_in(upper)
+            a = 0
+            while idx > 1:
+                if idx % p:
+                    raise GroupError(
+                        f"index {idx} of socle layers is not a power of {p}")
+                idx //= p
+                a += 1
+            if a:
+                alpha[(p, n)] = a
+    return UlmInvariants.from_dicts(alpha, {})
+
+
+def _scaled(G: FgGroup, H: Subgroup, n: int) -> Subgroup:
+    return Subgroup(G, [[n * v for v in row] for row in H.basis])

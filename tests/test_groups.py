@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from reference import lattice_index, snf_diagonal
 
 from pptor import corpus
 from pptor.groups import (
@@ -29,7 +30,6 @@ from pptor.intlinalg import (
     hermite_row_basis,
     lattice_coords,
     smith_normal_form,
-    snf_diagonal,
 )
 
 
@@ -54,6 +54,15 @@ def test_invariant_factors_match_smith_form(moduli):
     diag = [d for d in (snf_diagonal(rel) if rel else []) if d]
     assert M.invariant_factors == tuple(d for d in diag if d != 1)
     assert M.free_rank == M.rank - len(diag)
+
+
+@given(st.lists(st.sampled_from((0, 1, 2, 3, 4, 6, 12)), max_size=5),
+       st.integers(0, 12))
+def test_diagonal_lattices_are_hermite(moduli, n):
+    # torsion_lattice and annihilator_lattice return their rows as built
+    M = FgGroup(moduli)
+    for basis in (M.torsion_lattice(), M.annihilator_lattice(n)):
+        assert basis == hermite_row_basis(basis)
 
 
 def test_parse_group_dsl():
@@ -153,8 +162,7 @@ def test_as_group_with_embedding():
         G, emb = S.as_group_with_embedding()
         # Homomorphism checks that each generator's order divides its modulus
         assert Homomorphism(G, M, emb).image() == S
-        if M.is_finite:
-            assert G.order() == S.order()
+        assert G.order() == S.order()
 
 
 def _abstract_form_by_general_route(H):
@@ -253,6 +261,39 @@ def test_subgroup_elements_match_order(case):
     assert set(meet.elements()) == span_s & span_t
     assert S.sum(T).order() == len(_closure(M, g1 + g2))
     assert meet.index_in(S) == len(span_s) // len(span_s & span_t)
+
+
+@st.composite
+def _nested_subgroups(draw):
+    """S ⊆ T in a group of rank ≤ 4 with free and trivial coordinates: T
+    from drawn generators, S from integer combinations of T's rows."""
+    M = FgGroup(draw(st.lists(st.sampled_from((0, 1, 2, 3, 4, 6, 9, 12)),
+                              max_size=4)))
+    row = st.lists(st.integers(-12, 12), min_size=M.rank, max_size=M.rank)
+    T = Subgroup(M, draw(st.lists(row, max_size=3)))
+    combo = st.lists(st.integers(-3, 3), min_size=len(T.basis),
+                     max_size=len(T.basis))
+    S = Subgroup(M, [[sum(c * r[j] for c, r in zip(cs, T.basis))
+                      for j in range(M.rank)]
+                     for cs in draw(st.lists(combo, max_size=3))])
+    return M, S, T
+
+
+@given(_nested_subgroups())
+@example((FgGroup((0, 6)), Subgroup(FgGroup((0, 6)), [[2, 2]]),
+          Subgroup(FgGroup((0, 6)), [[1, 1]])))
+@example((FgGroup((0, 6)), FgGroup((0, 6)).zero_subgroup(),
+          Subgroup(FgGroup((0, 6)), [[1, 1]])))
+def test_order_and_index_match_determinant_reference(case):
+    """order() and index_in(), read off the Hermite pivots, against indices
+    of lattices by determinants (None: infinite)."""
+    M, S, T = case
+    assert S <= T
+    for H in (S, T):
+        idx = lattice_index(H.basis, M.relation_basis)
+        assert H.order() == (math.inf if idx is None else idx)
+    idx = lattice_index(T.basis, S.basis)
+    assert S.index_in(T) == (math.inf if idx is None else idx)
 
 
 def test_subgroup_rejects_rows_of_the_wrong_length():

@@ -1,10 +1,17 @@
 import random
 
 import pytest
+from reference import ulm_invariants as ulm_by_socle_layers
 
 from pptor import cardinals as C
 from pptor import corpus, invariants
-from pptor.groups import FgGroup, GroupError, direct_sum, is_isomorphic
+from pptor.groups import (
+    FgGroup,
+    GroupError,
+    abelian_groups_upto,
+    direct_sum,
+    is_isomorphic,
+)
 
 
 def test_ulm_of_cyclic():
@@ -34,6 +41,30 @@ def test_reconstruct_round_trip():
         G = corpus.random_group(rng, moduli_pool=(2, 3, 4, 8, 9), free_ok=False)
         assert is_isomorphic(
             invariants.reconstruct(invariants.ulm_invariants(G)), G)
+
+
+def test_ulm_matches_socle_layers():
+    """The count over the moduli against dim((p^{n−1}G)[p]/(p^nG)[p]) by
+    subgroup arithmetic, on every group of order ≤ 256 as listed, with its
+    factors shuffled, and with a Z/1 factor inserted."""
+    rng = random.Random(1616)
+    groups = 0
+    for G in abelian_groups_upto(256):
+        moduli = list(G.moduli)
+        rng.shuffle(moduli)
+        trivial = list(moduli)
+        trivial.insert(rng.randint(0, len(trivial)), 1)
+        for M in (G, FgGroup(moduli), FgGroup(trivial)):
+            assert invariants.ulm_invariants(M) == ulm_by_socle_layers(M), M
+            groups += 1
+    assert groups == 3 * 516
+
+
+def test_ulm_factors_each_modulus():
+    # both moduli are primes below 10^12; their product, the exponent, has
+    # no prime factor up to the trial division limit
+    inv = invariants.ulm_invariants(FgGroup((999999999989, 999999999959)))
+    assert inv.alpha_dict() == {(999999999959, 1): 1, (999999999989, 1): 1}
 
 
 def test_ulm_rejects_infinite_group():
