@@ -41,12 +41,6 @@ class Equation:
     lhs: LinComb
     rhs: LinComb
 
-    def coefficient(self, var: str) -> int:
-        """Net coefficient of var after moving everything to the left."""
-        c = sum(k for k, v in self.lhs if v == var)
-        c -= sum(k for k, v in self.rhs if v == var)
-        return c
-
     def constant(self) -> int:
         c = sum(k for k, v in self.lhs if v is None)
         c -= sum(k for k, v in self.rhs if v is None)
@@ -319,13 +313,22 @@ def print_formula(f: PpFormula) -> str:
 
 
 def normalize(f: PpFormula) -> MatrixForm:
-    C = tuple(
-        tuple(eq.coefficient(v) for v in f.free_vars) for eq in f.equations
-    )
-    D = tuple(
-        tuple(eq.coefficient(v) for v in f.bound_vars) for eq in f.equations
-    )
-    return MatrixForm(C, D)
+    """The matrix form C·x̄ + D·ȳ = 0 of f, in one pass over each equation.
+
+    Every lhs term is added and every rhs term subtracted into one net
+    coefficient per variable (the constant collects under None); C reads
+    the free variables off it and D the bound ones, 0 where absent.
+    """
+    C, D = [], []
+    for eq in f.equations:
+        net = {}
+        for k, v in eq.lhs:
+            net[v] = net.get(v, 0) + k
+        for k, v in eq.rhs:
+            net[v] = net.get(v, 0) - k
+        C.append(tuple([net.get(v, 0) for v in f.free_vars]))
+        D.append(tuple([net.get(v, 0) for v in f.bound_vars]))
+    return MatrixForm(tuple(C), tuple(D))
 
 
 def solution_group_over_z(f: PpFormula) -> int:

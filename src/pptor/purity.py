@@ -7,7 +7,10 @@ holds for each prime power p^k exactly dividing n (Fuchs, Abelian Groups,
 powers p^k > 1 dividing e need testing, in ascending order.  For finite M,
 e = exp(M), which exp(M/H) divides; with a free part, e is the lcm of the
 torsion exponents of M and M/H (beyond those, both sides stop changing on
-torsion and agree on free parts).
+torsion and agree on free parts).  e itself is never formed: its prime
+powers come from factoring each distinct nonzero modulus of M, then those
+of M/H, so a group whose moduli each factor is decided even when e does
+not.
 
 For finite M = ⊕ ℤ/m_j the test at n is one of orders: n·H ⊆ n·M ∩ H
 always, so the two are equal iff they have the same order.  With
@@ -28,7 +31,7 @@ is ker r, the image of 1 − ι∘r for the inclusion ι of H.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 from .groups import (
     FgGroup,
@@ -48,9 +51,24 @@ def _scaled_lattice(n: int, basis):
     return [[n * v for v in row] for row in basis]
 
 
-def _torsion_exponent(M: FgGroup) -> int:
-    inv = M.invariant_factors
-    return inv[-1] if inv else 1
+def _prime_powers(moduli) -> list[int]:
+    """The prime powers p^k > 1 dividing the lcm of the nonzero moduli,
+    ascending.  Each distinct modulus is factored once, after the primes
+    of the moduli before it are divided out: an invariant factor p·q of
+    M/H then factors when p and q are moduli of M."""
+    top: dict[int, int] = {}
+    for m in dict.fromkeys(moduli):
+        if m < 2:
+            continue
+        for p in top:
+            k = 0
+            while m % p == 0:
+                m //= p
+                k += 1
+            top[p] = max(top[p], k)
+        if m > 1:
+            top.update(factorize(m))
+    return sorted(p ** k for p, v in top.items() for k in range(1, v + 1))
 
 
 def _pure_at(n: int, H: Subgroup, M: FgGroup) -> bool:
@@ -76,13 +94,8 @@ def _first_failure(H: Subgroup, M: FgGroup):
     """The least n with n·M ∩ H ≠ n·H, or None."""
     if H.ambient != M:
         raise GroupError("subgroup of a different group")
-    if M.is_finite:
-        e = M.exponent()
-    else:
-        e = lcm(_torsion_exponent(M), _torsion_exponent(quotient(M, H)))
-    prime_powers = sorted(p ** k for p, v in factorize(e).items()
-                          for k in range(1, v + 1))
-    for n in prime_powers:
+    moduli = M.moduli if M.is_finite else M.moduli + quotient(M, H).moduli
+    for n in _prime_powers(moduli):
         if M.is_finite:
             if not _pure_at(n, H, M):
                 return n

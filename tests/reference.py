@@ -1,16 +1,18 @@
 """Reference routes that only the tests use.
 
 Each is an independent, slower way to compute what the library computes
-another way: lattice indices by determinants (`lattice_index`, `det`),
-lattice sums and Smith diagonals by a general HNF or Smith form, all
-homomorphisms by enumeration, purity by splitting, and the Ulm invariants
-by subgroup arithmetic on the socle layers.
+another way: a formula's matrix form by one scan of each equation per
+variable (`normalize_per_variable`), lattice indices by determinants
+(`lattice_index`, `det`), lattice sums and Smith diagonals by a general HNF
+or Smith form, all homomorphisms by enumeration, purity by splitting, and
+the Ulm invariants by subgroup arithmetic on the socle layers.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from pptor.formulas import Equation, MatrixForm, PpFormula
 from pptor.groups import (
     FgGroup,
     GroupError,
@@ -26,6 +28,24 @@ from pptor.intlinalg import (
 )
 from pptor.invariants import UlmInvariants
 from pptor.purity import _retraction
+
+
+def coefficient(eq: Equation, var: str) -> int:
+    """Net coefficient of var after moving everything to the left."""
+    c = sum(k for k, v in eq.lhs if v == var)
+    c -= sum(k for k, v in eq.rhs if v == var)
+    return c
+
+
+def normalize_per_variable(f: PpFormula) -> MatrixForm:
+    """C·x̄ + D·ȳ = 0, each entry from its own scan of the equation."""
+    C = tuple(
+        tuple(coefficient(eq, v) for v in f.free_vars) for eq in f.equations
+    )
+    D = tuple(
+        tuple(coefficient(eq, v) for v in f.bound_vars) for eq in f.equations
+    )
+    return MatrixForm(C, D)
 
 
 def det(A: Matrix) -> int:

@@ -101,6 +101,16 @@ def test_large_prime_exponent_is_fast(capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_pure_factors_each_modulus(capsys):
+    # both moduli are primes below 10^12; their product, the exponent, has
+    # no prime factor up to the trial division limit
+    group = "Z/999999999989 + Z/999999999959"
+    code, out, _ = run(capsys, "pure", "1,1", group)
+    assert code == 0 and out.strip() == "true"
+    code, doc = run_json(capsys, "pure", "1,1", group)
+    assert code == 0 and doc["result"]["pure"] is True
+
+
 def test_factorization_limit_is_a_domain_error(capsys):
     # 1000003 · 1000033: no prime factor up to the trial division limit
     start = time.perf_counter()

@@ -3,11 +3,14 @@ import random
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from reference import normalize_per_variable
 
 from pptor import corpus
 from pptor.formulas import (
+    Equation,
     FormulaError,
     ParseError,
+    PpFormula,
     is_low,
     normalize,
     parse,
@@ -105,6 +108,39 @@ def test_print_parse_roundtrip_keeps_variable_order(text):
     assert normalize(g) == normalize(f)
     if all(c != 0 for eq in f.equations for c, v in eq.lhs + eq.rhs if v):
         assert g == f
+
+
+@st.composite
+def _pp_formulas(draw):
+    """Formulas over 1–3 free and 0–2 bound variables, built directly so a
+    free variable may occur in no equation; terms repeat variables on one
+    side and across sides, and constant terms are 0."""
+    free = draw(st.lists(st.sampled_from(["x0", "x1", "x2"]), unique=True,
+                         min_size=1, max_size=3))
+    bound = draw(st.lists(st.sampled_from(["y0", "y1"]), unique=True,
+                          max_size=2))
+    term = st.one_of(
+        st.tuples(st.integers(-3, 3), st.sampled_from(free + bound)),
+        st.just((0, None)),
+    )
+    side = st.lists(term, max_size=4).map(tuple)
+    eqs = draw(st.lists(st.builds(Equation, side, side), max_size=3))
+    return PpFormula(tuple(free), tuple(bound), tuple(eqs))
+
+
+# variables repeated on one side and across sides; a net coefficient 0; a
+# free variable x1 in no equation; no bound variables; constant terms 0
+@example(parse("E y0 . x0 + 2*x0 = x0 - y0 + 3*y0 & y0 = y0 + y0"))
+@example(parse("2*x0 + x1 = 2*x0"))
+@example(PpFormula(("x0", "x1"), (), (Equation(((2, "x0"),), ((0, None),)),)))
+@example(parse("x0 = 3*x1"))
+@example(parse("x0 + 0 = 0 - x0"))
+@given(_pp_formulas())
+def test_normalize_matches_per_variable_reference(f):
+    m = normalize(f)
+    assert m == normalize_per_variable(f)
+    assert all(type(c) is int for rows in (m.C, m.D) for row in rows
+               for c in row)
 
 
 def test_normalize_shapes():

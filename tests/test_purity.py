@@ -52,6 +52,32 @@ def test_2z_in_z_not_pure():
     assert n == 2 and a.coords == (2,)
 
 
+# Subgroups of Z + Z/p + Z/q for primes 3 ≤ p < q, each with its
+# purity witness (n, coordinates) or None, both written in p and q.
+_TWO_PRIME_CASES = [
+    lambda p, q: ([(0, 1, 1)], None),
+    lambda p, q: ([(1, 1, 0)], None),
+    lambda p, q: ([(1, 1, 1)], None),
+    lambda p, q: ([(q, 0, 0)], (q, (q, 0, 0))),
+    lambda p, q: ([(0, 0, 1), (2, 0, 0)], (2, (2, 0, 0))),
+    lambda p, q: ([(p * q, 0, 0), (0, 1, 0)], (p, (p * q, 0, 0))),
+    lambda p, q: ([(p, 1, 0)], (p * p, (p * p, 0, 0))),
+]
+
+
+def test_purity_with_free_part_and_primes_near_10_12():
+    # 999999999959 · 999999999989 has no prime factor up to the trial
+    # division limit; the small primes 3 and 5 give the same answers
+    for p, q in ((3, 5), (999999999959, 999999999989)):
+        M = FgGroup((0, p, q))
+        for case in _TWO_PRIME_CASES:
+            gens, witness = case(p, q)
+            H = Subgroup(M, [list(g) for g in gens])
+            assert purity.is_pure(H, M) == (witness is None)
+            w = purity.purity_witness(H, M)
+            assert (w and (w[0], w[1].coords)) == witness
+
+
 def _scaled(M, n, S):
     return Subgroup(M, [[n * v for v in row] for row in S.basis])
 
