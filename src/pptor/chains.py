@@ -59,6 +59,8 @@ def witness_formula(p: int, n: int) -> PpFormula:
 def witness_chain(p: int, M0: int, k: int) -> tuple[FormulaChain, FgGroup]:
     """The Theorem-ss witness chain and its truncated group
     B = ⊕_{m≤M0} (ℤ/p^m)^k."""
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
     if M0 < 1 or k < 1:
         raise ValueError("M0 and k must be at least 1")
     if M0 * k > MAX_RANK:

@@ -182,8 +182,11 @@ class FgGroup:
     def full_subgroup(self) -> "Subgroup":
         if self._full is None:
             g = self.rank
-            self._full = Subgroup(self, [[1 if j == i else 0 for j in range(g)]
-                                         for i in range(g)])
+            identity = [[1 if j == i else 0 for j in range(g)]
+                        for i in range(g)]
+            # in a finite ambient the identity is already the square HNF
+            self._full = (Subgroup._from_hnf(self, identity) if self.is_finite
+                          else Subgroup(self, identity))
         return self._full
 
     def zero_subgroup(self) -> "Subgroup":

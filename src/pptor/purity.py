@@ -51,6 +51,12 @@ def _scaled_lattice(n: int, basis):
     return [[n * v for v in row] for row in basis]
 
 
+def _diagonal(entries) -> list[list[int]]:
+    g = len(entries)
+    return [[d if j == i else 0 for j in range(g)]
+            for i, d in enumerate(entries)]
+
+
 def _prime_powers(moduli) -> list[int]:
     """The prime powers p^k > 1 dividing the lcm of the nonzero moduli,
     ascending.  Each distinct modulus is factored once, after the primes
@@ -85,8 +91,12 @@ def _pure_at(n: int, H: Subgroup, M: FgGroup) -> bool:
 
 
 def _meet_and_multiple(n: int, H: Subgroup, M: FgGroup):
-    """(n·M ∩ H, n·H)."""
-    nM = Subgroup(M, _scaled_lattice(n, M.full_subgroup().basis))
+    """(n·M ∩ H, n·H).  In a finite M, n·M is diag(gcd(n, m_j)), already a
+    square HNF."""
+    if M.is_finite:
+        nM = Subgroup._from_hnf(M, _diagonal([gcd(n, m) for m in M.moduli]))
+    else:
+        nM = Subgroup(M, _scaled_lattice(n, M.full_subgroup().basis))
     return nM.intersection(H), Subgroup(M, _scaled_lattice(n, H.basis))
 
 
@@ -142,7 +152,10 @@ def _retraction(H: Subgroup, M: FgGroup):
 
 
 def torsion_radical(M: FgGroup) -> Subgroup:
-    """t(M): the elements of finite order (= union of ψ[M], ψ low)."""
+    """t(M): the elements of finite order (= union of ψ[M], ψ low).  A
+    finite M is its own torsion radical."""
+    if M.is_finite:
+        return M.full_subgroup()
     return Subgroup(M, M.torsion_lattice())
 
 
@@ -152,14 +165,14 @@ def primary_component(M: FgGroup, p: int) -> Subgroup:
         raise GroupError(f"{p} is not prime")
     if any(m == 0 for m in M.moduli):
         raise GroupError("primary components require a torsion group")
-    g = M.rank
-    rows = []
-    for i, m in enumerate(M.moduli):
-        q = m
-        while q % p == 0:
-            q //= p
-        rows.append([q if j == i else 0 for j in range(g)])
-    return Subgroup(M, rows)
+    # diag(q_j), q_j = m_j with its p-part divided out, divides diag(m)
+    # and so is its own square HNF
+    parts = []
+    for m in M.moduli:
+        while m % p == 0:
+            m //= p
+        parts.append(m)
+    return Subgroup._from_hnf(M, _diagonal(parts))
 
 
 def complement(H: Subgroup, M: FgGroup):

@@ -57,7 +57,7 @@ def check_evaluation_oracle():
     formulas = [corpus.random_formula(rng) for _ in range(500)]
     groups = abelian_groups_upto(64)
     pairs = 0
-    before = kernels._cyclic_codes.cache_info()
+    before = kernels._cyclic_solutions.cache_info()
     for f in formulas:
         mf = normalize(f)
         nfree = len(f.free_vars)
@@ -76,7 +76,7 @@ def check_evaluation_oracle():
                 if j >= len(sols) or sols[j] != code:
                     return False, f"extra generator {assign} for {f} on {M}"
             pairs += 1
-    after = kernels._cyclic_codes.cache_info()
+    after = kernels._cyclic_solutions.cache_info()
     return True, (f"{len(formulas)} formulas × {len(groups)} groups = {pairs} "
                   f"pairs; oracle tables: {after.misses - before.misses} built, "
                   f"{after.hits - before.hits} reused")

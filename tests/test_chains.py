@@ -22,6 +22,17 @@ def test_witness_chain_group():
     assert chain.low_head
 
 
+def test_witness_chain_rejects_bad_parameters():
+    # p = 0 would build B = Z^3 and p = 1 the trivial group, each with a
+    # stabilization index that means nothing
+    for p, M0, k in ((0, 3, 1), (1, 3, 1), (-2, 3, 1)):
+        with pytest.raises(ValueError, match="p must be at least 2"):
+            chains.witness_chain(p, M0, k)
+    for M0, k in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="M0 and k"):
+            chains.witness_chain(2, M0, k)
+
+
 def test_chain_descent_and_stabilization():
     chain, B = chains.witness_chain(2, 3, 1)
     levels = chains.evaluate_chain(chain, B, 4)

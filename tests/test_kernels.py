@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pptor import corpus
+from pptor import corpus, kernels
 from pptor.formulas import Equation, PpFormula, normalize
 from pptor.groups import FgGroup
 from pptor.kernels import (
@@ -101,12 +102,30 @@ def test_against_naive_reference():
 
 
 def test_returned_codes_are_not_shared():
-    # per-factor codes are cached; a caller's array must be its own
-    C, D, moduli = [[1, 2]], [[3]], (6,)
-    want = brute_force_codes(C, D, moduli)[0].copy()
-    got = brute_force_codes(C, D, moduli)[0]
-    got[:] = -1
-    assert np.array_equal(brute_force_codes(C, D, moduli)[0], want)
+    # per-factor digit rows are cached; a caller's array must be its own,
+    # and the cached rows read-only and left as they were.  Rank 1 returns
+    # one factor's product, rank ≥ 2 a Cartesian sum, nfree = 0 the (1, 0)
+    # rows of the empty assignment; (6, 2, 6) reuses ℤ/6 at two strides.
+    cases = [([[1, 2]], [[3]], (6,)), ([[1, 2]], [[3]], (6, 2, 6)),
+             ([[1], [2]], [[0], [1]], (4, 3)), ([[]], [[2]], (6,)),
+             ([[], []], [[1], [3]], (2, 4))]
+    for C, D, moduli in cases:
+        key = tuple(map(tuple, C)), tuple(map(tuple, D))
+        want = brute_force_codes(C, D, moduli)[0].copy()
+        rows = {m: kernels._cyclic_solutions(*key, m) for m in moduli}
+        kept = {m: r.copy() for m, r in rows.items()}
+        got = brute_force_codes(C, D, moduli)[0]
+        got[:] = -1
+        assert np.array_equal(brute_force_codes(C, D, moduli)[0], want)
+        for m, r in rows.items():
+            assert not r.flags.writeable
+            with pytest.raises(ValueError):
+                r[...] = 0
+            assert r.dtype == np.int32 and r.shape[1] == len(C[0])
+            # rows in ascending order of the code Σ_v x_v·m^v
+            assert np.all(np.diff(r @ m ** np.arange(r.shape[1])) > 0)
+            assert np.array_equal(kernels._cyclic_solutions(*key, m), kept[m])
+    assert kernels._cyclic_solutions(((),), ((1,),), 5).shape == (1, 0)
 
 
 def test_cached_codes_depend_on_every_input():
@@ -129,6 +148,39 @@ def test_codes_strictly_ascending():
         sols = brute_force_codes(m.C, m.D, M.moduli)[0]
         assert sols.dtype == np.int64
         assert np.all(np.diff(sols) > 0)
+
+
+@st.composite
+def _systems(draw):
+    """(C, D, moduli) for the naive triple loop: rank 0-3 with repeated
+    moduli and ℤ/1 factors, 0-2 free and 0-3 bound variables, at most
+    1024 assignments of all variables."""
+    moduli = draw(st.lists(st.sampled_from((1, 2, 3, 4, 6)), max_size=3))
+    nfree = draw(st.integers(0, 2))
+    while math.prod(moduli) ** nfree > 1024:
+        moduli.pop()
+    order = math.prod(moduli)
+    nbound = draw(st.integers(0, max(k for k in range(4)
+                                     if order ** (nfree + k) <= 1024)))
+    neq = draw(st.integers(1, 3))
+    coeff = st.integers(-7, 7)
+    C = draw(st.lists(st.lists(coeff, min_size=nfree, max_size=nfree),
+                      min_size=neq, max_size=neq))
+    D = draw(st.lists(st.lists(coeff, min_size=nbound, max_size=nbound),
+                      min_size=neq, max_size=neq))
+    return C, D, tuple(moduli)
+
+
+@settings(max_examples=200)
+@given(_systems())
+def test_codes_match_naive_reference(case):
+    C, D, moduli = case
+    sols, nfree, order = brute_force_codes(C, D, moduli)
+    assert (nfree, order) == (len(C[0]), math.prod(moduli))
+    assert sols.dtype == np.int64
+    want = sorted(encode_assignment(a, moduli)
+                  for a in naive_solutions(C, D, moduli))
+    assert sols.tolist() == want
 
 
 @st.composite
