@@ -148,10 +148,15 @@ class FgGroup:
 
     def elements(self):
         """All elements; finite groups only."""
+        for coords in self.element_coords():
+            yield Element(self, coords)
+
+    def element_coords(self):
+        """The coordinate tuples of elements(), in the same order: the last
+        coordinate runs fastest.  Finite groups only."""
         if not self.is_finite:
             raise GroupError("cannot enumerate an infinite group")
-        for coords in itertools.product(*(range(max(m, 1)) for m in self.moduli)):
-            yield Element(self, coords)
+        return itertools.product(*(range(m) for m in self.moduli))
 
     def annihilator_lattice(self, n: int) -> list[list[int]]:
         """HNF basis of {x ∈ ℤ^g : n·x ∈ relation lattice} (coords of M[n]):

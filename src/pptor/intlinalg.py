@@ -5,9 +5,12 @@ Diophantine solving, systems of congruences, and row-lattice arithmetic
 Everything here works on plain Python ints (arbitrary precision); matrices
 are lists of lists.  Pivoting is deterministic (smallest absolute value,
 ties broken by lowest index) so all outputs are reproducible.
-``smith_normal_form`` builds only the transforms its caller names (U, V,
-V⁻¹), and the pivots do not depend on which; ``mat_mul`` combines the rows
-of its right factor and skips the zero entries of its left one.
+``smith_normal_form`` builds only the transforms its caller names (V,
+V⁻¹), and the pivots do not depend on which.  Its row side is carried, not
+built: right-hand sides ride along as extra columns that only the row
+operations touch, so they end as U·B, and U itself is the identity carried
+the same way.  ``mat_mul`` combines the rows of its right factor and skips
+the zero entries of its left one.
 
 ``hermite_row_basis`` is the one general HNF.  Lattices that contain
 diag(m) with every m_i ≥ 1 (the subgroups of a finite group) take the
@@ -19,7 +22,7 @@ Congruence systems come in two shapes.  ``congruence_lattice`` solves
 A·x ≡ 0 with a modulus per row, through one slack column per nonzero
 modulus.  ``solve_congruence_columns`` solves A·x ≡ b_j (mod t_j) for many
 right-hand sides of one A, each with its own modulus: one Smith form of A
-serves every column, and each column is then read off row by row.
+carries every column, and each is then read off row by row.
 ``solve_diophantine`` is its one-column, modulus-0 case.
 """
 
@@ -58,63 +61,43 @@ def mat_vec(A: Matrix, v: list[int]) -> list[int]:
 SNF_TRANSFORMS = frozenset({"U", "V", "Vinv"})
 
 
-def smith_normal_form(A: Matrix, transforms=SNF_TRANSFORMS):
+def smith_normal_form(A: Matrix, transforms=SNF_TRANSFORMS, carry=None):
     """Return (U, S, V, Vinv) with U*A*V = S, U and V unimodular, V*Vinv = I,
     S diagonal and S[0][0] | S[1][1] | ... with nonnegative diagonal.
 
     Only the transforms named in ``transforms`` (a subset of SNF_TRANSFORMS)
     are built; the others come back as None.  The pivots do not depend on
     which are built.
+
+    U is never built as such.  ``carry`` (len(A) rows) rides along as extra
+    columns of A: every row operation acts on them, while the pivot search,
+    the column operations and the divisibility test never read them, so at
+    the end they hold U·carry, which comes back in U's place.  Naming "U"
+    carries the identity; it cannot be named together with ``carry``.  V
+    rides along the same way as extra rows, which only the column
+    operations touch.
     """
-    unknown = set(transforms) - SNF_TRANSFORMS
-    if unknown:
-        raise ValueError(f"unknown Smith form transforms {sorted(unknown)}")
+    if not SNF_TRANSFORMS.issuperset(transforms):
+        unknown = sorted(set(transforms) - SNF_TRANSFORMS)
+        raise ValueError(f"unknown Smith form transforms {unknown}")
     m = len(A)
+    if "U" in transforms:
+        if carry is not None:
+            raise ValueError("carry replaces the U transform; name one of them")
+        carry = identity_matrix(m)
+    elif carry is not None and len(carry) != m:
+        raise ValueError(f"carry has {len(carry)} rows, A has {m}")
     n = len(A[0]) if m else 0
-    S = [list(map(int, row)) for row in A]
-    U = identity_matrix(m) if "U" in transforms else None
-    V = identity_matrix(n) if "V" in transforms else None
+    if carry is None:
+        S = [list(map(int, row)) for row in A]
+    else:
+        S = [list(map(int, row)) + list(map(int, c)) for row, c in zip(A, carry)]
+    if "V" in transforms:
+        S += identity_matrix(n)  # rows m.. hold V
     Vi = identity_matrix(n) if "Vinv" in transforms else None
 
-    def row_add(i, j, q):  # row_i += q * row_j
-        S[i] = [a + q * b for a, b in zip(S[i], S[j])]
-        if U is not None:
-            U[i] = [a + q * b for a, b in zip(U[i], U[j])]
-
-    def row_swap(i, j):
-        S[i], S[j] = S[j], S[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
-
-    def row_neg(i):
-        S[i] = [-a for a in S[i]]
-        if U is not None:
-            U[i] = [-a for a in U[i]]
-
-    def col_add(j, k, q):  # col_j += q * col_k, in place row by row
-        for row in S:
-            b = row[k]
-            if b:
-                row[j] += q * b
-        if V is not None:
-            for row in V:
-                b = row[k]
-                if b:
-                    row[j] += q * b
-        if Vi is not None:
-            Vi[k] = [a - q * b for a, b in zip(Vi[k], Vi[j])]
-
-    def col_swap(j, k):
-        for row in S:
-            row[j], row[k] = row[k], row[j]
-        if V is not None:
-            for row in V:
-                row[j], row[k] = row[k], row[j]
-        if Vi is not None:
-            Vi[j], Vi[k] = Vi[k], Vi[j]
-
-    t = 0
-    while t < min(m, n):
+    t, rank_bound = 0, min(m, n)
+    while t < rank_bound:
         done = False
         while True:
             # deterministic pivot: smallest |entry| in the block, row-major
@@ -138,24 +121,36 @@ def smith_normal_form(A: Matrix, transforms=SNF_TRANSFORMS):
             if piv is None:
                 done = True
                 break
-            if piv[0] != t:
-                row_swap(t, piv[0])
-            if piv[1] != t:
-                col_swap(t, piv[1])
-            if S[t][t] < 0:
-                row_neg(t)
-            d = S[t][t]
+            i, k = piv
+            if i != t:  # swap rows t and i
+                S[t], S[i] = S[i], S[t]
+            if k != t:  # swap columns t and k
+                for row in S:
+                    row[t], row[k] = row[k], row[t]
+                if Vi is not None:
+                    Vi[t], Vi[k] = Vi[k], Vi[t]
+            pivot_row = S[t]
+            if pivot_row[t] < 0:
+                S[t] = pivot_row = [-a for a in pivot_row]
+            d = pivot_row[t]
             changed = False
-            for i in range(t + 1, m):
+            for i in range(t + 1, m):  # row_i -= (x // d) * row_t
                 x = S[i][t]
                 if x:
-                    row_add(i, t, -(x // d))
+                    q = -(x // d)
+                    S[i] = [a + q * b for a, b in zip(S[i], pivot_row)]
                     if x % d:
                         changed = True
-            for j in range(t + 1, n):
-                x = S[t][j]
+            for j in range(t + 1, n):  # col_j -= (x // d) * col_t
+                x = pivot_row[j]
                 if x:
-                    col_add(j, t, -(x // d))
+                    q = -(x // d)
+                    for row in S:
+                        b = row[t]
+                        if b:
+                            row[j] += q * b
+                    if Vi is not None:
+                        Vi[t] = [a - q * b for a, b in zip(Vi[t], Vi[j])]
                     if x % d:
                         changed = True
             if changed:
@@ -166,16 +161,20 @@ def smith_normal_form(A: Matrix, transforms=SNF_TRANSFORMS):
             bad = None
             if d != 1:
                 for i in range(t + 1, m):
-                    if gcd(*S[i][t + 1:]) % d:
+                    if gcd(*S[i][t + 1:n]) % d:
                         bad = i
                         break
             if bad is None:
                 break
-            row_add(t, bad, 1)
+            S[t] = [a + b for a, b in zip(pivot_row, S[bad])]  # row_t += row_bad
         if done:
             break
         t += 1
-    return U, S, V, Vi
+    V = S[m:] if "V" in transforms else None
+    del S[m:]
+    if carry is None:
+        return None, S, V, Vi
+    return [row[n:] for row in S], [row[:n] for row in S], V, Vi
 
 
 def hermite_row_basis(rows) -> list[list[int]]:
@@ -384,21 +383,24 @@ def solve_congruence_columns(A: Matrix, rhs, moduli) -> list[list[int]] | None:
     (modulus 0: exactly); None when some column has no solution.  A system
     with no rows is solved by the empty vector.
 
-    All columns share one Smith form U·A·V = S = diag(s_i).  U is
-    unimodular, so A·x ≡ b (mod t) ⟺ s_i·y_i ≡ c_i (mod t) for every row i,
-    with c = U·b and x = V·y.  A row with s_i ≠ 0 is solvable iff
-    g = gcd(s_i, t) divides c_i, and then y_i = (c_i/g)·(s_i/g)⁻¹ mod t/g
-    (for t = 0, y_i = c_i/s_i exactly); a row past the rank needs
-    c_i ≡ 0 (mod t).  (Cohen, GTM 138, §2.4.3.)
+    All columns share one Smith form U·A·V = S = diag(s_i), which carries
+    the right-hand sides as extra columns and so hands back C = U·B, the
+    column j of B being rhs[j], without building U.  U is unimodular, so
+    A·x ≡ b_j (mod t) ⟺ s_i·y_i ≡ C[i][j] (mod t) for every row i, with
+    x = V·y.  A row with s_i ≠ 0 is solvable iff g = gcd(s_i, t) divides
+    c = C[i][j], and then y_i = (c/g)·(s_i/g)⁻¹ mod t/g (for t = 0,
+    y_i = c/s_i exactly); a row past the rank needs c ≡ 0 (mod t).
+    (Cohen, GTM 138, §2.4.3.)
     """
     n = len(A[0]) if A else 0
-    U, S, V, _ = smith_normal_form(A, ("U", "V"))
+    C, S, V, _ = smith_normal_form(
+        A, ("V",), carry=list(zip(*rhs)) if rhs else [()] * len(A))
     diag = [S[i][i] if i < n else 0 for i in range(len(A))]
     cols = []
-    for b, t in zip(rhs, moduli):
+    for j, t in enumerate(moduli):
         y = [0] * n
-        for i, (u, s) in enumerate(zip(U, diag)):
-            c = sum(a * x for a, x in zip(u, b))
+        for i, (row, s) in enumerate(zip(C, diag)):
+            c = row[j]
             if s == 0:
                 if (c % t if t else c):
                     return None

@@ -193,18 +193,25 @@ def _capped_valuation(n: int, p: int, cap: int) -> int:
     return v
 
 
-def _mixed_sum_levels(d, e, p: int, kmax: int) -> tuple[int, ...]:
+def _mixed_sum_levels(d, e, p: int, kmax: int) -> list[int]:
     """Entry k ≤ kmax is the least l with d ∈ p^k N + N[p^l], where d holds
     coordinates of N = ⊕ ℤ/m_j and e_j = v_p(m_j).
 
     p^k N + N[p^l] = ⊕_j p^{min(k, max(e_j − l, 0))}·ℤ/m_j, so with
     w_j = v_p(d_j) capped at e_j, d lies in it exactly when every j has
     w_j ≥ k or w_j + l ≥ e_j: l must reach e_j − w_j for each j with
-    w_j < k.
+    w_j < k.  So entry k is a running maximum: top[w] holds the largest
+    e_j − w_j with w_j = w, and entry k the largest top[w] with w < k.
     """
-    w = [_capped_valuation(dj, p, ej) for dj, ej in zip(d, e)]
-    return tuple(max((ej - wj for wj, ej in zip(w, e) if wj < k), default=0)
-                 for k in range(kmax + 1))
+    top = [0] * kmax
+    for dj, ej in zip(d, e):
+        wj = _capped_valuation(dj, p, ej)
+        if wj < kmax and ej - wj > top[wj]:
+            top[wj] = ej - wj
+    levels = [0]
+    for t in top:
+        levels.append(max(levels[-1], t))
+    return levels
 
 
 def pp_type_descriptor(a: Element, M: Subgroup, N: FgGroup,
@@ -216,6 +223,11 @@ def pp_type_descriptor(a: Element, M: Subgroup, N: FgGroup,
     identification=(Mg, emb) overrides this with an explicit reference group
     Mg and embedding rows emb (ambient coords per Mg coordinate), so types
     over differently embedded copies of the same group stay comparable.
+
+    The parameters m run over Mg's coordinate tuples in the order of
+    Mg.elements(), and each a − m is the one before it minus an embedding
+    row.  For each prime the levels of every a − m are bucketed once per
+    k, so each row T(k, ·) is a chain of prefix unions of the buckets.
     """
     if a.group != N or (isinstance(M, Subgroup) and M.ambient != N):
         raise PpSolveError("element/parameter group not inside the ambient group")
@@ -230,23 +242,35 @@ def pp_type_descriptor(a: Element, M: Subgroup, N: FgGroup,
         Mg, emb = M.as_group_with_embedding()
     else:
         Mg, emb = identification
+    params = list(Mg.element_coords())
     moduli = N.moduli
-    cols = range(N.rank)
-    diffs = []  # (m in abstract coordinates, coordinates of a − m in N)
-    for x in Mg.elements():
-        diffs.append((x.coords, [
-            (a.coords[j] - sum(c * emb[i][j] for i, c in enumerate(x.coords)))
-            % moduli[j] for j in cols]))
+    # coordinates of a − m in N, m in the order of params: the last
+    # coordinate of m runs fastest, so each step subtracts its row once more
+    diffs = [[x % t for x, t in zip(a.coords, moduli)]]
+    for row, count in zip(emb, Mg.moduli):
+        steps = []
+        for d in diffs:
+            steps.append(d)
+            for _ in range(count - 1):
+                d = [(x - y) % t for x, y, t in zip(d, row, moduli)]
+                steps.append(d)
+        diffs = steps
 
     tables = []
     for p, K in factorize(N.exponent()).items():
-        e = [_capped_valuation(m, p, K) for m in moduli]
-        levels = [(mc, _mixed_sum_levels(d, e, p, K)) for mc, d in diffs]
-        T = tuple(
-            tuple(frozenset(mc for mc, lv in levels if lv[k] <= l)
-                  for l in range(K + 1))
-            for k in range(K + 1))
-        T = _trimmed(T)
+        e = [_capped_valuation(t, p, K) for t in moduli]
+        levels = [_mixed_sum_levels(d, e, p, K) for d in diffs]
+        T = []
+        for k in range(K + 1):
+            buckets = [[] for _ in range(K + 1)]  # [l]: the m of level l at k
+            for mc, lv in zip(params, levels):
+                buckets[lv[k]].append(mc)
+            row, members = [], set()
+            for bucket in buckets:
+                members.update(bucket)
+                row.append(frozenset(members))
+            T.append(tuple(row))
+        T = _trimmed(tuple(T))
         if len(T) > 1:
             tables.append((p, T))
     return PpTypeDescriptor(Mg.moduli, tuple(tables))

@@ -89,6 +89,26 @@ def test_snf_builds_only_the_named_transforms(A):
         smith_normal_form(A, ("V", "W"))
 
 
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3))
+       .flatmap(lambda d: st.tuples(_matrix(d[0], d[1]), _matrix(d[0], d[2]))))
+@example(([[2]], [[1]]))                  # a carried unit beside no unit of A
+@example(([[2, 0], [0, 4]], [[0], [1]]))  # only the carried column breaks 2 | ·
+def test_snf_carried_columns(case):
+    """Columns carried through the Smith form of A end as U·B, with U from
+    the "U" transform, and leave S, V and V⁻¹ as the call without them
+    gives: the pivot search, the column operations and the divisibility
+    test never read them."""
+    A, B = case
+    U, S, V, Vi = smith_normal_form(A)
+    UB, *rest = smith_normal_form(A, ("V", "Vinv"), carry=B)
+    assert UB == mat_mul(U, B)
+    assert rest == [S, V, Vi]
+    with pytest.raises(ValueError, match="carry"):
+        smith_normal_form(A, ("U",), carry=B)
+    with pytest.raises(ValueError, match="rows"):
+        smith_normal_form(A, (), carry=[*B, []])
+
+
 @given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
        .flatmap(lambda d: st.tuples(_matrix(d[0], d[1]), _matrix(d[1], d[2]))))
 @example(([], []))

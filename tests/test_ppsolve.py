@@ -301,25 +301,31 @@ def _mixed_sum_cases(draw):
     p = draw(st.sampled_from((2, 3, 5)))
     ds = draw(st.lists(st.lists(st.integers(-30, 30), min_size=len(moduli),
                                 max_size=len(moduli)), min_size=1, max_size=4))
-    return FgGroup(moduli), p, ds
+    return FgGroup(moduli), p, ds, draw(st.integers(0, 4))
 
 
 @given(_mixed_sum_cases())
 def test_mixed_sum_is_diagonal(case):
     # p^k N + N[p^l] = ⊕_j p^{min(k, max(e_j − l, 0))}·ℤ/m_j, and
-    # _mixed_sum_levels reads membership in it from p-valuations
-    N, p, ds = case
-    e = [_valuation(m, p) for m in N.moduli]
-    for k in range(5):
+    # _mixed_sum_levels reads membership in it from p-valuations.  Its e
+    # is capped at kmax, as in the descriptor; the capped e_j are the
+    # p-valuations of Ncap, N with each p-part p^{e_j} cut to
+    # p^{min(e_j, kmax)} (the descriptor's kmax = v_p(exp N) cuts nothing)
+    N, p, ds, kmax = case
+    full = [_valuation(m, p) for m in N.moduli]
+    e = [min(ej, kmax) for ej in full]
+    Ncap = FgGroup([m // p ** (fj - ej) for m, fj, ej in zip(N.moduli, full, e)])
+    levels = [ppsolve._mixed_sum_levels([x % m for x, m in zip(d, N.moduli)],
+                                        e, p, kmax) for d in ds]
+    assert all(len(lv) == kmax + 1 for lv in levels)
+    for k in range(kmax + 1):
         for l in range(5):
-            lat = _mixed_sum_lattice(N, p, k, l)
+            lat = _mixed_sum_lattice(Ncap, p, k, l)
             diag = [[p ** min(k, max(ej - l, 0)) if j == i else 0
                      for j in range(N.rank)] for i, ej in enumerate(e)]
-            assert lat == hermite_row_basis(diag + N.relation_basis)
-            for d in ds:
-                reduced = [x % m for x, m in zip(d, N.moduli)]
-                levels = ppsolve._mixed_sum_levels(reduced, e, p, 4)
-                assert (levels[k] <= l) == in_lattice(lat, d)
+            assert lat == hermite_row_basis(diag + Ncap.relation_basis)
+            for d, lv in zip(ds, levels):
+                assert (lv[k] <= l) == in_lattice(lat, d)
 
 
 def test_descriptor_rejects_impure_base():
