@@ -40,7 +40,16 @@ def _parse_subgroup(text: str, M: FgGroup) -> Subgroup:
         return Subgroup.from_generators(M, [])
     gens = []
     for part in text.split(";"):
-        coords = [int(tok) for tok in part.split(",")]
+        if not part.strip():
+            raise CliError(f"empty generator in subgroup {text!r}")
+        coords = []
+        for tok in part.split(","):
+            try:
+                coords.append(int(tok))
+            except ValueError:
+                raise CliError(
+                    f"coordinate {tok.strip()!r} of generator "
+                    f"{part.strip()!r} is not an integer") from None
         if len(coords) != M.rank:
             raise CliError(
                 f"generator {part.strip()!r} has {len(coords)} coordinates, "

@@ -402,23 +402,47 @@ class Subgroup:
         """(H as an abstract FgGroup, rows = ambient coords of its generators).
 
         H = L/R; relative to the basis rows of L, R has coordinate lattice
-        given by lattice_coords of each R-basis row.  In a finite ambient L
-        is a square HNF with pivots d_i | m_i, so the coordinates of the rows
-        m_i·e_i form an upper-triangular matrix with diagonal m_i/d_i, whose
-        HNF needs only the entries above its pivots reduced.
+        given by the coordinates of each R-basis row in L.  In a finite
+        ambient L is a square upper-triangular HNF with pivots d_j | m_j, so
+        row i of those coordinates is zero before column i and m_i/d_i at
+        it; the rest comes from one back-substitution through rows i+1, …
+        of L.  That matrix is upper triangular with diagonal m_i/d_i, so its
+        HNF needs only the entries above its pivots reduced.  An infinite
+        ambient takes each row's coordinates by lattice_coords and their
+        HNF by hermite_row_basis.
         """
         L = self.basis
         if not L:
             return FgGroup(()), []
-        rel = []
-        for row in self.ambient.relation_basis:
-            coeffs = lattice_coords(L, row)
-            if coeffs is None:
-                raise GroupError("relation row outside the subgroup lattice")
-            rel.append(coeffs)
         if self.ambient.is_finite:
+            n = len(L)
+            rel = []
+            for i, m in enumerate(self.ambient.moduli):
+                # columns j, j+1, … of m·e_i minus the rows of L taken
+                # before row j; the columns before j are done
+                rest = [0] * n
+                rest[i] = m
+                coords = [0] * n
+                for j in range(i, n):
+                    if rest[j]:
+                        row = L[j]
+                        q, r = divmod(rest[j], row[j])
+                        if r:
+                            raise GroupError(
+                                "relation row outside the subgroup lattice")
+                        coords[j] = q
+                        for k in range(j + 1, n):
+                            rest[k] -= q * row[k]
+                rel.append(coords)
             reduce_above_pivots(rel)
         else:
+            rel = []
+            for row in self.ambient.relation_basis:
+                coeffs = lattice_coords(L, row)
+                if coeffs is None:
+                    raise GroupError(
+                        "relation row outside the subgroup lattice")
+                rel.append(coeffs)
             rel = hermite_row_basis(rel)
         grp, gens = _group_from_lattice(len(L), rel)
         return grp, mat_mul(gens, L)

@@ -176,12 +176,22 @@ class PpTypeDescriptor:
 
 
 def _trimmed(T):
-    """T cut to its least clamp K (square, K + 1 rows)."""
-    n = len(T)
-    for K in range(n):
-        if all(T[k][l] == T[min(k, K)][min(l, K)]
-               for k in range(n) for l in range(n)):
-            return tuple(row[:K + 1] for row in T[:K + 1])
+    """The square n × n table T cut to its least clamp K (K + 1 rows).
+
+    T(k, l) = T(min(k, K), min(l, K)) for all k, l holds exactly when rows
+    K, …, n − 1 all equal the last row and columns K, …, n − 1 all equal
+    the last column, so K is the larger of the least such row index and
+    the least such column index: O(n²) comparisons of entries.
+    """
+    last = len(T) - 1
+    r = last
+    while r and T[r - 1] == T[last]:
+        r -= 1
+    c = last
+    while c and all(row[c - 1] == row[last] for row in T):
+        c -= 1
+    K = max(r, c)
+    return tuple(row[:K + 1] for row in T[:K + 1])
 
 
 def _capped_valuation(n: int, p: int, cap: int) -> int:
@@ -292,11 +302,18 @@ def hom_oracle_equal(a1: Element, M1: Subgroup, N1: FgGroup,
     Valid because finite abelian groups are pure-injective: a type-preserving
     partial map extends to a homomorphism, and conversely homomorphisms
     preserve pp-formulas.
+
+    The parameter group is identified through each side's abstract form,
+    which depends only on the subgroup's ambient and basis; when M2 == M1
+    one form serves both sides.
     """
     if M1.ambient != N1 or M2.ambient != N2:
         raise PpSolveError("parameter subgroup not inside its ambient group")
     M1g, emb1 = M1.as_group_with_embedding()
-    M2g, emb2 = M2.as_group_with_embedding()
+    if M2 == M1:
+        M2g, emb2 = M1g, emb1
+    else:
+        M2g, emb2 = M2.as_group_with_embedding()
     if M1g.moduli != M2g.moduli:
         raise PpSolveError("parameter groups are not identified")
     return _oracle_equal_emb(a1, emb1, N1, a2, emb2, N2)

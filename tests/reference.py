@@ -4,8 +4,10 @@ Each is an independent, slower way to compute what the library computes
 another way: a formula's matrix form by one scan of each equation per
 variable (`normalize_per_variable`), lattice indices by determinants
 (`lattice_index`, `det`), lattice sums and Smith diagonals by a general HNF
-or Smith form, all homomorphisms by enumeration, purity by splitting, and
-the Ulm invariants by subgroup arithmetic on the socle layers.
+or Smith form, all homomorphisms by enumeration, purity by splitting, the
+Ulm invariants by subgroup arithmetic on the socle layers, and a pp-type
+table's clamp by trying each K against its definition
+(`trimmed_by_definition`).
 """
 
 from __future__ import annotations
@@ -97,6 +99,17 @@ def lattice_sum(*bases) -> list[list[int]]:
 def snf_diagonal(A: Matrix) -> list[int]:
     _, S, _, _ = smith_normal_form(A, ())
     return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
+
+
+def trimmed_by_definition(T):
+    """T cut to its least clamp: the least K with
+    T(k, l) = T(min(k, K), min(l, K)) for all k, l, each K checked on every
+    entry in turn."""
+    n = len(T)
+    for K in range(n):
+        if all(T[k][l] == T[min(k, K)][min(l, K)]
+               for k in range(n) for l in range(n)):
+            return tuple(row[:K + 1] for row in T[:K + 1])
 
 
 def enumerate_homs(source: FgGroup, target: FgGroup):

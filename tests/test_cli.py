@@ -135,6 +135,19 @@ def test_complement_success_and_failure(capsys):
     assert "error" in doc and "result" not in doc
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("complement", "1;", "Z/4"), "empty generator in subgroup '1;'"),
+    (("pure", "x", "Z/4"), "coordinate 'x' of generator 'x' is not an integer"),
+    (("pure", "1, 2.5", "Z/4 + Z/2"),
+     "coordinate '2.5' of generator '1, 2.5' is not an integer"),
+])
+def test_subgroup_parse_errors_name_the_input(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out and err.strip() == f"error: {message}"
+    code, doc = run_json(capsys, *argv)
+    assert code == 1 and doc["error"] == message and "result" not in doc
+
+
 def test_chain(capsys):
     code, doc = run_json(capsys, "chain", "--witness", "2", "3", "1",
                          "--indices")

@@ -218,6 +218,12 @@ def test_abstract_form_rejects_a_basis_missing_a_relation():
     H.basis = ((1, 1), (0, 4))  # misses 2·e_1
     with pytest.raises(GroupError, match="relation row outside"):
         H.as_group_with_embedding()
+    # 2·e_0 − 2·(row 0) = (0, 0, −2): the remainder fails pivot 4 two
+    # columns right of the diagonal
+    H.ambient = FgGroup((2, 2, 2))
+    H.basis = ((1, 0, 1), (0, 1, 0), (0, 0, 4))
+    with pytest.raises(GroupError, match="relation row outside"):
+        H.as_group_with_embedding()
 
 
 def _closure(M, gens):

@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from reference import enumerate_homs, lattice_sum
+from reference import enumerate_homs, lattice_sum, trimmed_by_definition
 
 from pptor import corpus, ppsolve
 from pptor.formulas import Equation, PpFormula, normalize, parse
@@ -237,7 +237,8 @@ def _mixed_sum_lattice(N, p, k, l):
 def _lattice_descriptor(a, Mg, emb, N, members):
     """Reference descriptor over the parameters Mg embedded by emb: a − m
     looked up in the elements of each lattice p^k N + N[p^l], listed by
-    in_lattice (cached in members by (p, k, l))."""
+    in_lattice (cached in members by (p, k, l)), each table cut by the
+    definition of its clamp."""
     diffs = [(x.coords, (a - N.element(
         [sum(c * emb[i][j] for i, c in enumerate(x.coords))
          for j in range(N.rank)])).coords) for x in Mg.elements()]
@@ -254,7 +255,7 @@ def _lattice_descriptor(a, Mg, emb, N, members):
                 row.append(frozenset(mc for mc, d in diffs
                                      if d in members[p, k, l]))
             T.append(tuple(row))
-        T = ppsolve._trimmed(T)
+        T = trimmed_by_definition(T)
         if len(T) > 1:
             tables.append((p, T))
     return ppsolve.PpTypeDescriptor(Mg.moduli, tuple(tables))
@@ -448,6 +449,63 @@ def test_oracle_drops_only_parameters_zero_on_both_sides(monkeypatch):
     # each call gets the nonzero parameter and (a1, a2); the second oracle
     # stops after its first direction fails
     assert counts == [2, 2, 2]
+
+
+def test_hom_oracle_builds_one_abstract_form_for_one_subgroup(monkeypatch):
+    """With one parameter subgroup on both sides the oracle builds one
+    abstract form; on every triple of the parameter group its verdicts are
+    those from two forms built separately, and an equal copy of the
+    subgroup gets the same verdicts."""
+    N = FgGroup((4, 2, 2))
+    S = Subgroup(N, [[2, 1, 0]])
+    copy = Subgroup(N, S.basis)
+    assert copy == S and copy is not S and is_pure(S, N)
+    real = Subgroup.as_group_with_embedding
+    emb, emb_copy = real(S)[1], real(copy)[1]
+    calls = []
+
+    def spy(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Subgroup, "as_group_with_embedding", spy)
+    verdicts = set()
+    for a1 in N.elements():
+        for a2 in N.elements():
+            calls.clear()
+            same = ppsolve.hom_oracle_equal(a1, S, N, a2, S, N)
+            assert len(calls) == 1
+            assert same == ppsolve._oracle_equal_emb(
+                a1, emb, N, a2, emb_copy, N)
+            assert ppsolve.hom_oracle_equal(a1, S, N, a2, copy, N) == same
+            verdicts.add(same)
+    assert verdicts == {False, True}
+
+
+def test_trimmed_matches_its_definition():
+    """_trimmed against the definition of the least clamp on seeded tables
+    of frozensets: n = 1, constant tables, tables whose clamp is set only
+    by their rows or only by their columns, and random tables with rows
+    from r and columns from c on made equal."""
+    a, b = frozenset(), frozenset({(1,)})
+    tables = [((a,),), ((a, a), (a, a)), ((b,) * 3,) * 3,
+              ((a, b), (a, b)),   # rows clamp at 0, columns at 1
+              ((a, a), (b, b)),   # columns clamp at 0, rows at 1
+              ((a, b, b), (a, b, b), (b, a, a)),
+              ((a, b, a), (b, a, b), (b, a, b))]
+    rng = random.Random(2002)
+    pool = [frozenset(s) for s in ((), ((0,),), ((1,),), ((0,), (1,)))]
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        T = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+        r, c = rng.randrange(n), rng.randrange(n)
+        for k in range(r + 1, n):
+            T[k] = list(T[r])
+        for row in T:
+            row[c + 1:] = [row[c]] * (n - c - 1)
+        tables.append(tuple(map(tuple, T)))
+    for T in tables:
+        assert ppsolve._trimmed(T) == trimmed_by_definition(T), T
 
 
 def test_hom_oracle_rejects_parameters_of_another_group():
