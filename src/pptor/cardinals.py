@@ -408,7 +408,7 @@ def parse_cardinal(text: str):
         tok = tokens[pos[0]]
         if kind and tok[0] != kind:
             raise CardinalError(
-                f"expected {kind!r}, got {tok[1]!r} in cardinal expression"
+                f"expected {kind!r}, got {_shown(tok)} in cardinal expression"
             )
         pos[0] += 1
         return tok
@@ -440,7 +440,7 @@ def parse_cardinal(text: str):
             return tok[1]
         if tok[0] == "ident" and tok[1] in ("w", "omega", "ω"):
             return OMEGA
-        raise CardinalError(f"bad ordinal index {tok[1]!r}")
+        raise CardinalError(f"bad ordinal index {_shown(tok)}")
 
     def parse_atom():
         tok = peek()
@@ -468,12 +468,18 @@ def parse_cardinal(text: str):
                     if suffix in ("w", "omega", "ω"):
                         return cls(OMEGA)
             return Var(_GREEK.get(name, name))
+        if tok[0] == "eof":
+            raise CardinalError("unexpected end of input in cardinal expression")
         raise CardinalError(f"unexpected token {tok[1]!r} in cardinal expression")
 
     out = parse_sum()
     if peek()[0] != "eof":
         raise CardinalError(f"unexpected trailing token {peek()[1]!r}")
     return out
+
+
+def _shown(tok) -> str:
+    return "end of input" if tok[0] == "eof" else repr(tok[1])
 
 
 def _tokenize(text: str):

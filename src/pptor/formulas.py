@@ -127,6 +127,10 @@ def _tokenize(text: str):
     return tokens
 
 
+def _shown(tok) -> str:
+    return "end of input" if tok[0] == "eof" else repr(tok[1])
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -143,7 +147,7 @@ class _Parser:
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, got {tok[1]!r}", tok[2], tok[3])
+            raise ParseError(f"expected {kind!r}, got {_shown(tok)}", tok[2], tok[3])
         return tok
 
     def error(self, message):
@@ -223,7 +227,7 @@ class _Parser:
             self.next()
             coeff = -1 if neg else 1
             return (sign * coeff, tok[1])
-        self.error(f"expected a term, got {tok[1]!r}")
+        self.error(f"expected a term, got {_shown(tok)}")
 
 
 def parse(text: str) -> PpFormula:

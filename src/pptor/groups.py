@@ -13,12 +13,9 @@ from dataclasses import dataclass
 from math import gcd, inf, lcm, prod
 
 from .intlinalg import (
-    hermite_mod,
     hermite_row_basis,
     identity_matrix,
     in_lattice,
-    intersection_mod,
-    lattice_coords,
     lattice_intersection,
     mat_mul,
     pivot_product,
@@ -79,15 +76,6 @@ class FgGroup:
     @property
     def rank(self) -> int:
         return len(self.moduli)
-
-    @property
-    def relation_basis(self) -> list[list[int]]:
-        g = self.rank
-        return [
-            [m if j == i else 0 for j in range(g)]
-            for i, m in enumerate(self.moduli)
-            if m != 0
-        ]
 
     def _canonical_form(self):
         """(invariant factors d_1 | d_2 | …, all ≠ 1, free rank).
@@ -195,7 +183,7 @@ class FgGroup:
         return self._full
 
     def zero_subgroup(self) -> "Subgroup":
-        return Subgroup(self, self.relation_basis)
+        return Subgroup(self, [])
 
     def __eq__(self, other):
         return isinstance(other, FgGroup) and self.moduli == other.moduli
@@ -263,9 +251,11 @@ class Element:
 class Subgroup:
     """A subgroup of an FgGroup, canonically a row lattice R ⊆ L ⊆ ℤ^g.
 
-    In a finite ambient L contains R = diag(m), so its HNF is square, built
-    by hermite_mod (or checked by _from_hnf when it is already known).  In
-    any ambient, orders and indices are read off the pivots of the HNFs
+    The basis is the HNF of the generator rows together with R, the rows
+    m_j·e_j of the nonzero moduli: one hermite_row_basis over the ambient's
+    moduli, with entries reduced modulo m_j on each ℤ/m_j coordinate.  In a
+    finite ambient it is square (or checked by _from_hnf when it is already
+    known).  Orders and indices are read off the pivots of the HNFs
     (intlinalg.pivot_product).
     """
 
@@ -275,11 +265,7 @@ class Subgroup:
         if any(len(r) != ambient.rank for r in rows):
             raise GroupError(
                 f"generator rows of {ambient} need {ambient.rank} coordinates")
-        if ambient.is_finite:
-            basis = hermite_mod(rows, ambient.moduli)
-        else:
-            basis = hermite_row_basis(rows + ambient.relation_basis)
-        self.basis = tuple(tuple(r) for r in basis)
+        self.basis = tuple(map(tuple, hermite_row_basis(rows, ambient.moduli)))
 
     @classmethod
     def _from_hnf(cls, ambient: FgGroup, basis) -> "Subgroup":
@@ -375,11 +361,8 @@ class Subgroup:
     def intersection(self, other: "Subgroup") -> "Subgroup":
         if self.ambient != other.ambient:
             raise GroupError("subgroups of different groups")
-        if self.ambient.is_finite:
-            return Subgroup(self.ambient, intersection_mod(
-                self.basis, other.basis, self.ambient.moduli))
-        return Subgroup(self.ambient,
-                        lattice_intersection(self.basis, other.basis))
+        return Subgroup(self.ambient, lattice_intersection(
+            self.basis, other.basis, self.ambient.moduli))
 
     def index_in(self, other: "Subgroup"):
         """[other : self]; self ⊆ other required."""
@@ -401,50 +384,51 @@ class Subgroup:
     def as_group_with_embedding(self):
         """(H as an abstract FgGroup, rows = ambient coords of its generators).
 
-        H = L/R; relative to the basis rows of L, R has coordinate lattice
-        given by the coordinates of each R-basis row in L.  In a finite
-        ambient L is a square upper-triangular HNF with pivots d_j | m_j, so
-        row i of those coordinates is zero before column i and m_i/d_i at
-        it; the rest comes from one back-substitution through rows i+1, …
-        of L.  That matrix is upper triangular with diagonal m_i/d_i, so its
-        HNF needs only the entries above its pivots reduced.  An infinite
-        ambient takes each row's coordinates by lattice_coords and their
-        HNF by hermite_row_basis.
+        H = L/R, so relative to the basis rows of L its relations are the
+        coordinates in L of each row m_i·e_i of R.  L is an echelon HNF that
+        contains R, so each column i with m_i ≠ 0 is one of its pivot
+        columns, with pivot d_i | m_i: those coordinates are zero before
+        that row of L and m_i/d_i at it, and the rest comes from one
+        back-substitution through the later rows of L, at their pivot
+        columns.  The coordinate rows
+        are thus echelon with positive leading entries, so their HNF needs
+        only the entries above its pivots reduced.
         """
         L = self.basis
         if not L:
             return FgGroup(()), []
-        if self.ambient.is_finite:
-            n = len(L)
-            rel = []
-            for i, m in enumerate(self.ambient.moduli):
-                # columns j, j+1, … of m·e_i minus the rows of L taken
-                # before row j; the columns before j are done
-                rest = [0] * n
-                rest[i] = m
-                coords = [0] * n
-                for j in range(i, n):
-                    if rest[j]:
-                        row = L[j]
-                        q, r = divmod(rest[j], row[j])
-                        if r:
-                            raise GroupError(
-                                "relation row outside the subgroup lattice")
-                        coords[j] = q
-                        for k in range(j + 1, n):
-                            rest[k] -= q * row[k]
-                rel.append(coords)
-            reduce_above_pivots(rel)
-        else:
-            rel = []
-            for row in self.ambient.relation_basis:
-                coeffs = lattice_coords(L, row)
-                if coeffs is None:
-                    raise GroupError(
-                        "relation row outside the subgroup lattice")
-                rel.append(coeffs)
-            rel = hermite_row_basis(rel)
-        grp, gens = _group_from_lattice(len(L), rel)
+        moduli = self.ambient.moduli
+        g, n = len(moduli), len(L)
+        pivots = []
+        c = 0
+        for row in L:
+            while not row[c]:  # pivot columns increase down the rows
+                c += 1
+            pivots.append(c)
+        rel = []
+        for s, i in enumerate(pivots):
+            m = moduli[i]
+            if not m:
+                continue
+            # columns c, … of m·e_i minus the rows of L taken before the
+            # row with pivot column c; the columns before c are done
+            rest = [0] * g
+            rest[i] = m
+            coords = [0] * n
+            for t in range(s, n):
+                c = pivots[t]
+                if rest[c]:
+                    row = L[t]
+                    q, r = divmod(rest[c], row[c])
+                    if r:
+                        raise GroupError(
+                            "relation row outside the subgroup lattice")
+                    coords[t] = q
+                    for k in range(c + 1, g):
+                        rest[k] -= q * row[k]
+            rel.append(coords)
+        reduce_above_pivots(rel)
+        grp, gens = _group_from_lattice(n, rel)
         return grp, mat_mul(gens, L)
 
     def as_group(self) -> FgGroup:
@@ -550,7 +534,8 @@ def parse_group(text: str) -> FgGroup:
     def take(kind=None):
         tok = tokens[pos[0]]
         if kind and tok[0] != kind:
-            raise GroupError(f"expected {kind!r}, got {tok[1]!r} in group expression")
+            raise GroupError(
+                f"expected {kind!r}, got {_shown(tok)} in group expression")
         pos[0] += 1
         return tok
 
@@ -592,12 +577,18 @@ def parse_group(text: str) -> FgGroup:
         if tok[0] == "int" and tok[1] == 0:
             take()
             return FgGroup(())
+        if tok[0] == "eof":
+            raise GroupError("unexpected end of input in group expression")
         raise GroupError(f"unexpected token {tok[1]!r} in group expression")
 
     g = parse_expr()
     if peek()[0] != "eof":
         raise GroupError(f"unexpected trailing token {peek()[1]!r}")
     return g
+
+
+def _shown(tok) -> str:
+    return "end of input" if tok[0] == "eof" else repr(tok[1])
 
 
 def _tokenize_group(text: str):

@@ -12,11 +12,13 @@ operations touch, so they end as U·B, and U itself is the identity carried
 the same way.  ``mat_mul`` combines the rows of its right factor and skips
 the zero entries of its left one.
 
-``hermite_row_basis`` is the one general HNF.  Lattices that contain
-diag(m) with every m_i ≥ 1 (the subgroups of a finite group) take the
-finite-ambient path: ``hermite_mod`` builds the same square HNF with entries
-reduced modulo m, and ``intersection_mod`` intersects two of them.  Every
-order and index is a quotient of two ``pivot_product``s, in any ambient.
+``hermite_row_basis(rows, moduli)`` is the one HNF: of the rows together
+with m_j·e_j for each nonzero modulus, modulus 0 marking a free (ℤ)
+column.  Entries of a column with a nonzero modulus stay reduced modulo it,
+so the subgroups of a finite group keep small entries; free columns are
+never reduced.  ``lattice_intersection`` intersects two lattices by
+Zassenhaus through it, and every order and index is a quotient of two
+``pivot_product``s, in any ambient.
 
 Congruence systems come in two shapes.  ``congruence_lattice`` solves
 A·x ≡ 0 with a modulus per row, through one slack column per nonzero
@@ -177,51 +179,6 @@ def smith_normal_form(A: Matrix, transforms=SNF_TRANSFORMS, carry=None):
     return [row[n:] for row in S], [row[:n] for row in S], V, Vi
 
 
-def hermite_row_basis(rows) -> list[list[int]]:
-    """Unique row Hermite normal form of the lattice spanned by ``rows``.
-
-    Echelon with positive pivots, entries above each pivot reduced into
-    [0, pivot); zero rows dropped.  Two generating sets of the same lattice
-    produce identical output.
-    """
-    work = [list(map(int, r)) for r in rows if any(r)]
-    if not work:
-        return []
-    n = len(work[0])
-    basis: list[list[int]] = []
-    r = 0
-    for j in range(n):
-        # gcd-eliminate column j among work[r:]
-        while True:
-            nz = [i for i in range(r, len(work)) if work[i][j]]
-            if len(nz) <= 1:
-                break
-            # smallest |entry| becomes the eliminator
-            k = min(nz, key=lambda i: (abs(work[i][j]), i))
-            work[r], work[k] = work[k], work[r]
-            for i in range(r + 1, len(work)):
-                if work[i][j]:
-                    q = work[i][j] // work[r][j]
-                    work[i] = [a - q * b for a, b in zip(work[i], work[r])]
-        nz = [i for i in range(r, len(work)) if work[i][j]]
-        if not nz:
-            continue
-        work[r], work[nz[0]] = work[nz[0]], work[r]
-        if work[r][j] < 0:
-            work[r] = [-a for a in work[r]]
-        basis.append(work[r])
-        r += 1
-    # reduce entries above pivots
-    for idx in range(len(basis)):
-        row = basis[idx]
-        j = next(c for c, v in enumerate(row) if v)
-        for k in range(idx):
-            q = basis[k][j] // row[j]
-            if q:
-                basis[k] = [a - q * b for a, b in zip(basis[k], row)]
-    return [row for row in basis if any(row)]
-
-
 def _xgcd(a: int, b: int):
     """(g, s, t) with s·a + t·b = g = gcd(a, b), for a, b > 0."""
     s0, s1, t0, t1 = 1, 0, 0, 1
@@ -233,63 +190,73 @@ def _xgcd(a: int, b: int):
     return a, s0, t0
 
 
-def hermite_mod(rows, moduli) -> list[list[int]]:
-    """hermite_row_basis(rows + diag(moduli)) for moduli all ≥ 1, computed
-    with every entry reduced modulo its column's modulus.
+def hermite_row_basis(rows, moduli) -> list[list[int]]:
+    """Unique row Hermite normal form (positive pivots, entries above each
+    reduced into [0, pivot)) of the lattice spanned by ``rows`` and m_j·e_j
+    for each nonzero modulus; modulus 0 marks a free (ℤ) column.
 
-    The lattice L contains R = diag(m), so its HNF B is square with pivot
-    B[j][j] dividing m_j, and m_k·e_k lies in the span of the rows of B with
-    pivot ≥ k.  B starts as diag(m), the HNF of R.  Each row is inserted by
-    2×2 extended-gcd steps against the pivot row of its leading column;
-    both rows keep the entries of every column k after the pivot reduced
-    mod m_k, which subtracts multiples of m_k·e_k, i.e. of the untouched
-    rows below.  A last pass reduces the entries above each pivot into
-    [0, pivot).  (Domich–Kannan–Trotter 1987; Cohen, GTM 138, Alg. 2.4.8.)
+    B[j], the pivot row of column j, starts as m·e_j for m ≥ 1 and missing
+    for a free column.  Each row is inserted by 2×2 extended-gcd steps
+    against the pivot rows of its nonzero columns, or becomes the missing
+    pivot row of a free column, sign made positive.  Entries of a column k
+    with m_k ≥ 1 stay reduced mod m_k, i.e. by rows with pivot ≥ k; free
+    columns are never reduced.  A last pass reduces above the pivots
+    (Domich–Kannan–Trotter 1987; Cohen, GTM 138, Alg. 2.4.8).
     """
     moduli = tuple(moduli)
-    if not all(m >= 1 for m in moduli):
-        raise ValueError(f"hermite_mod needs moduli ≥ 1, got {moduli}")
+    if moduli and min(moduli) < 0:
+        raise ValueError(f"moduli must be ≥ 0, got {moduli}")
     n = len(moduli)
-    B = [[m if j == i else 0 for j in range(n)] for i, m in enumerate(moduli)]
+    B = [[m if k == j else 0 for k in range(n)] if m else None
+         for j, m in enumerate(moduli)]
     for row in rows:
         if len(row) != n:
             raise ValueError(f"row of length {len(row)} in a lattice of rank {n}")
-        r = [int(a) % m for a, m in zip(row, moduli)]
+        r = [int(a) % m if m else int(a) for a, m in zip(row, moduli)]
         for j in range(n):
             a = r[j]
             if not a:
                 continue
             p = B[j]
+            if p is None:
+                B[j] = r if a > 0 else [-x % m if m else -x
+                                        for x, m in zip(r, moduli)]
+                break
             d = p[j]
             if a % d == 0:
                 q = a // d
-                r = [(x - q * y) % m for x, y, m in zip(r, p, moduli)]
+                r = [(x - q * y) % m if m else x - q * y
+                     for x, y, m in zip(r, p, moduli)]
                 continue
-            # [p; r] ← [s t; a/g −d/g]·[p; r] is unimodular; the new pivot g
-            # divides a < m_j, so the reduction mod m_j keeps it
-            g, s, t = _xgcd(d, a)
+            # [p; r] ← [s t; a/g −d/g]·[p; r] has determinant −1; the new
+            # pivot g = gcd(d, |a|) < d divides m_j, so reducing keeps it
+            g, s, t = _xgcd(d, abs(a))
+            if a < 0:
+                t = -t
             u, w = a // g, d // g
-            B[j] = [(s * y + t * x) % m for x, y, m in zip(r, p, moduli)]
-            r = [(u * y - w * x) % m for x, y, m in zip(r, p, moduli)]
+            B[j] = [(s * y + t * x) % m if m else s * y + t * x
+                    for x, y, m in zip(r, p, moduli)]
+            r = [(u * y - w * x) % m if m else u * y - w * x
+                 for x, y, m in zip(r, p, moduli)]
+    B = [p for p in B if p is not None]
     reduce_above_pivots(B)
     return B
 
 
 def reduce_above_pivots(B: Matrix) -> None:
-    """Reduce each entry above a pivot of the square upper-triangular B
-    with positive diagonal into [0, pivot), in place, column by column from
-    the left: the last pass of hermite_row_basis, which is all it does to
-    such a matrix."""
-    for j, p in enumerate(B):
+    """Reduce each entry above a pivot of the echelon rows B, whose pivots
+    (first nonzero entries) are positive, into [0, pivot), in place, from
+    the top row down: the last pass of hermite_row_basis, which is all it
+    does to such rows."""
+    j = 0
+    for i, p in enumerate(B):
+        while not p[j]:  # pivot columns increase down the rows
+            j += 1
         d = p[j]
-        for i in range(j):
-            q = B[i][j] // d
+        for k in range(i):
+            q = B[k][j] // d
             if q:
-                B[i] = [x - q * y for x, y in zip(B[i], p)]
-
-
-def _pivot_col(row) -> int:
-    return next(c for c, v in enumerate(row) if v)
+                B[k] = [x - q * y for x, y in zip(B[k], p)]
 
 
 def pivot_product(basis) -> int:
@@ -309,14 +276,13 @@ def pivot_product(basis) -> int:
 
 
 def lattice_coords(basis: list[list[int]], v) -> list[int] | None:
-    """Coefficients expressing v in an echelon (HNF) basis, or None.
-
-    A square basis has full rank, so its pivots lie on the diagonal."""
+    """Coefficients expressing v in an echelon (HNF) basis, or None."""
     v = list(map(int, v))
-    square = len(basis) == len(v)
     coeffs = []
-    for i, row in enumerate(basis):
-        j = i if square else _pivot_col(row)
+    j = 0
+    for row in basis:
+        while not row[j]:  # pivot columns increase down the rows
+            j += 1
         if v[j] % row[j]:
             return None
         q = v[j] // row[j]
@@ -375,7 +341,8 @@ def congruence_lattice(A: Matrix, moduli, keep: int) -> list[list[int]]:
     if not A:
         return identity_matrix(keep)
     return hermite_row_basis(
-        [vec[:keep] for vec in kernel_basis(_with_slack(A, moduli))])
+        [vec[:keep] for vec in kernel_basis(_with_slack(A, moduli))],
+        (0,) * keep)
 
 
 def solve_congruence_columns(A: Matrix, rhs, moduli) -> list[list[int]] | None:
@@ -417,27 +384,13 @@ def solve_congruence_columns(A: Matrix, rhs, moduli) -> list[list[int]] | None:
     return cols
 
 
-def lattice_intersection(b1: list[list[int]], b2: list[list[int]]) -> list[list[int]]:
-    """HNF basis of the intersection of two row lattices."""
-    if not b1 or not b2:
-        return []
-    n = len(b1[0])
-    hnf = hermite_row_basis(_zassenhaus_rows(b1, b2, n))
-    return [row[n:] for row in hnf if not any(row[:n])]
-
-
-def _zassenhaus_rows(b1, b2, n: int) -> list[list[int]]:
-    """[b1 | b1 ; b2 | 0]: its left halves span L1 + L2, and (0, v) lies in
-    its span exactly when v ∈ L1 ∩ L2.  In an echelon basis those vectors
-    are spanned by the rows whose left half is zero, so the right halves of
-    these rows in the HNF are the HNF of L1 ∩ L2 (Zassenhaus)."""
-    return [list(r) + list(r) for r in b1] + [list(r) + [0] * n for r in b2]
-
-
-def intersection_mod(b1, b2, moduli) -> list[list[int]]:
-    """lattice_intersection of two lattices that contain diag(moduli), all
-    moduli ≥ 1.  The Zassenhaus lattice then contains diag(moduli, moduli),
-    so hermite_mod gives its square HNF, whose last rows carry L1 ∩ L2."""
+def lattice_intersection(b1, b2, moduli) -> list[list[int]]:
+    """HNF basis of L1 ∩ L2 for row lattices that contain m_j·e_j for each
+    nonzero modulus (Zassenhaus): (0, v) lies in the span of
+    [b1 | b1 ; b2 | 0] + diag(m, m) iff v ∈ L1 ∩ L2, and those vectors are
+    spanned by the rows of its HNF with zero left half.
+    """
     n = len(moduli)
-    hnf = hermite_mod(_zassenhaus_rows(b1, b2, n), tuple(moduli) * 2)
-    return [row[n:] for row in hnf[n:]]
+    rows = [list(r) + list(r) for r in b1] + [list(r) + [0] * n for r in b2]
+    return [row[n:] for row in hermite_row_basis(rows, tuple(moduli) * 2)
+            if not any(row[:n])]

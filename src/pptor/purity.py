@@ -12,14 +12,17 @@ powers come from factoring each distinct nonzero modulus of M, then those
 of M/H, so a group whose moduli each factor is decided even when e does
 not.
 
-For finite M = ⊕ ℤ/m_j the test at n is one of orders: n·H ⊆ n·M ∩ H
-always, so the two are equal iff they have the same order.  With
-g_j = gcd(n, m_j), H + n·M is H's lattice plus diag(g) and H + M[n] is H's
-lattice plus diag(m/g), so each order is read from the pivots of one
-hermite_mod; then |n·M ∩ H| = |H|·|n·M| / |H + n·M| and
-|n·H| = |H| / |H[n]| = |H + M[n]| / |M[n]|.  The subgroups n·M ∩ H and n·H
-themselves are built only for a witness, at the failing n.  With a free
-part, the two subgroups are built and compared at every n.
+The test at n is one of indices, in any M = ℤ^f ⊕ ⊕ ℤ/m_j: n·H ⊆ n·M ∩ H
+always, so the two are equal iff [H : n·H] = [H : n·M ∩ H].  Let L be H's
+lattice, g_j = gcd(n, m_j) and h_j = m_j/g_j, so g_j = n and h_j = 0 on a ℤ
+coordinate; then L + diag(g) is the lattice of H + n·M and L + diag(h)
+that of H + M[n].  [H : n·M ∩ H] = [H + n·M : n·M] and
+[H : n·H] = n^r·|H[n]| for the free rank r of H, with
+|H[n]| = |M[n]|·[H + M[n] : H]⁻¹.  Written in pivot products pp of HNFs
+(one hermite_row_basis each), the test reads
+pp(L)·n^f = n^r·pp(L + diag(g))·pp(L + diag(h)), which for finite M is
+|n·M ∩ H| = |n·H|.  The subgroups n·M ∩ H and n·H themselves are built
+only for a witness, at the failing n.
 
 Complements are decided by splitting instead: a finitely generated H ≤ M is
 a direct summand iff a retraction r: M → H exists, and for finite M that
@@ -40,15 +43,11 @@ from .groups import (
     factorize,
     quotient,
 )
-from .intlinalg import hermite_mod, pivot_product
+from .intlinalg import hermite_row_basis, pivot_product
 
 # purity.kernel_basis stays importable: perfbench's tracer test checks that a
 # wrapper installed on it here is removed again.
 from .intlinalg import kernel_basis  # noqa: F401
-
-
-def _scaled_lattice(n: int, basis):
-    return [[n * v for v in row] for row in basis]
 
 
 def _diagonal(entries) -> list[list[int]]:
@@ -78,41 +77,39 @@ def _prime_powers(moduli) -> list[int]:
 
 
 def _pure_at(n: int, H: Subgroup, M: FgGroup) -> bool:
-    """n·M ∩ H = n·H for finite M, by orders (see the module docstring).
-
-    In indices of lattices containing diag(m), |n·M ∩ H| = |n·H| reads
-    [ℤ^g : H] = [ℤ^g : H + diag(g)]·[ℤ^g : H + diag(m/g)], and each index
-    [ℤ^g : L] is the pivot product of L's square HNF.
+    """n·M ∩ H = n·H, by indices (see the module docstring):
+    pp(L)·n^f = n^r·pp(L + diag(g))·pp(L + diag(h)) for H's lattice L, with
+    g_j = gcd(n, m_j) and h_j = m_j/g_j (so g_j = n and h_j = 0 on a ℤ
+    coordinate), f the number of ℤ coordinates of M and r the free rank of
+    H; pp is the pivot product of an HNF, hermite_row_basis(L, ·).
     """
     g = [gcd(n, m) for m in M.moduli]
     h = [m // d for m, d in zip(M.moduli, g)]
-    return pivot_product(H.basis) == (pivot_product(hermite_mod(H.basis, g))
-                                      * pivot_product(hermite_mod(H.basis, h)))
+    f = M.moduli.count(0)
+    r = len(H.basis) - (M.rank - f)
+    return pivot_product(H.basis) * n ** f == n ** r * (
+        pivot_product(hermite_row_basis(H.basis, g))
+        * pivot_product(hermite_row_basis(H.basis, h)))
 
 
 def _meet_and_multiple(n: int, H: Subgroup, M: FgGroup):
-    """(n·M ∩ H, n·H).  In a finite M, n·M is diag(gcd(n, m_j)), already a
-    square HNF."""
-    if M.is_finite:
-        nM = Subgroup._from_hnf(M, _diagonal([gcd(n, m) for m in M.moduli]))
-    else:
-        nM = Subgroup(M, _scaled_lattice(n, M.full_subgroup().basis))
-    return nM.intersection(H), Subgroup(M, _scaled_lattice(n, H.basis))
+    """(n·M ∩ H, n·H); n·M is diag(gcd(n, m_j)), with n on a ℤ coordinate."""
+    nM = Subgroup(M, _diagonal([gcd(n, m) for m in M.moduli]))
+    return nM.intersection(H), Subgroup(M, [[n * v for v in row]
+                                            for row in H.basis])
 
 
 def _first_failure(H: Subgroup, M: FgGroup):
-    """The least n with n·M ∩ H ≠ n·H, or None."""
+    """The least n with n·M ∩ H ≠ n·H, or None.  The prime powers tried
+    come from M's moduli, and with a free part from those of M/H too."""
     if H.ambient != M:
         raise GroupError("subgroup of a different group")
-    moduli = M.moduli if M.is_finite else M.moduli + quotient(M, H).moduli
+    moduli = M.moduli
+    if 0 in moduli:
+        moduli += quotient(M, H).moduli
     for n in _prime_powers(moduli):
-        if M.is_finite:
-            if not _pure_at(n, H, M):
-                return n
-        else:
-            meet, nH = _meet_and_multiple(n, H, M)
-            if meet != nH:
-                return n
+        if not _pure_at(n, H, M):
+            return n
     return None
 
 
@@ -152,10 +149,8 @@ def _retraction(H: Subgroup, M: FgGroup):
 
 
 def torsion_radical(M: FgGroup) -> Subgroup:
-    """t(M): the elements of finite order (= union of ψ[M], ψ low).  A
-    finite M is its own torsion radical."""
-    if M.is_finite:
-        return M.full_subgroup()
+    """t(M): the elements of finite order (= union of ψ[M], ψ low), spanned
+    by the unit vectors of the coordinates ℤ/m."""
     return Subgroup(M, M.torsion_lattice())
 
 

@@ -3,11 +3,12 @@
 Each is an independent, slower way to compute what the library computes
 another way: a formula's matrix form by one scan of each equation per
 variable (`normalize_per_variable`), lattice indices by determinants
-(`lattice_index`, `det`), lattice sums and Smith diagonals by a general HNF
-or Smith form, all homomorphisms by enumeration, purity by splitting, the
-Ulm invariants by subgroup arithmetic on the socle layers, and a pp-type
-table's clamp by trying each K against its definition
-(`trimmed_by_definition`).
+(`lattice_index`, `det`), the HNF by gcd elimination over ℤ with no moduli
+(`hermite_by_elimination`) and lattice sums by it, a group's relation rows
+(`relation_basis`), Smith diagonals by a Smith form, all homomorphisms by
+enumeration, purity by splitting, the Ulm invariants by subgroup arithmetic
+on the socle layers, and a pp-type table's clamp by trying each K against
+its definition (`trimmed_by_definition`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from pptor.groups import (
 )
 from pptor.intlinalg import (
     Matrix,
-    hermite_row_basis,
     lattice_coords,
     smith_normal_form,
 )
@@ -91,9 +91,61 @@ def lattice_index(outer: list[list[int]], inner: list[list[int]]):
     return abs(d) if d else None
 
 
+def hermite_by_elimination(rows) -> list[list[int]]:
+    """Unique row Hermite normal form of the lattice spanned by ``rows``.
+
+    Echelon with positive pivots, entries above each pivot reduced into
+    [0, pivot); zero rows dropped.  Two generating sets of the same lattice
+    produce identical output.
+    """
+    work = [list(map(int, r)) for r in rows if any(r)]
+    if not work:
+        return []
+    n = len(work[0])
+    basis: list[list[int]] = []
+    r = 0
+    for j in range(n):
+        # gcd-eliminate column j among work[r:]
+        while True:
+            nz = [i for i in range(r, len(work)) if work[i][j]]
+            if len(nz) <= 1:
+                break
+            # smallest |entry| becomes the eliminator
+            k = min(nz, key=lambda i: (abs(work[i][j]), i))
+            work[r], work[k] = work[k], work[r]
+            for i in range(r + 1, len(work)):
+                if work[i][j]:
+                    q = work[i][j] // work[r][j]
+                    work[i] = [a - q * b for a, b in zip(work[i], work[r])]
+        nz = [i for i in range(r, len(work)) if work[i][j]]
+        if not nz:
+            continue
+        work[r], work[nz[0]] = work[nz[0]], work[r]
+        if work[r][j] < 0:
+            work[r] = [-a for a in work[r]]
+        basis.append(work[r])
+        r += 1
+    # reduce entries above pivots
+    for idx in range(len(basis)):
+        row = basis[idx]
+        j = next(c for c, v in enumerate(row) if v)
+        for k in range(idx):
+            q = basis[k][j] // row[j]
+            if q:
+                basis[k] = [a - q * b for a, b in zip(basis[k], row)]
+    return [row for row in basis if any(row)]
+
+
+def relation_basis(M: FgGroup) -> list[list[int]]:
+    """The rows m_i·e_i of M's relation lattice, one per nonzero modulus."""
+    g = M.rank
+    return [[m if j == i else 0 for j in range(g)]
+            for i, m in enumerate(M.moduli) if m != 0]
+
+
 def lattice_sum(*bases) -> list[list[int]]:
     rows = [row for b in bases for row in b]
-    return hermite_row_basis(rows)
+    return hermite_by_elimination(rows)
 
 
 def snf_diagonal(A: Matrix) -> list[int]:

@@ -46,6 +46,13 @@ def test_parse_errors():
         parse_cardinal("aleph(")
     with pytest.raises(CardinalError):
         parse_cardinal("2 ^")
+    for text, message in (
+            ("aleph(", "bad ordinal index end of input"),
+            ("aleph(1", "expected ')', got end of input in cardinal expression"),
+            ("2 ^", "unexpected end of input in cardinal expression")):
+        with pytest.raises(CardinalError) as exc:
+            parse_cardinal(text)
+        assert str(exc.value) == message
 
 
 def test_normalize_rules():

@@ -120,6 +120,69 @@ def test_factorization_limit_is_a_domain_error(capsys):
     assert time.perf_counter() - start < 5
 
 
+def _group(moduli, factors, free):
+    return {"moduli": moduli, "invariant_factors": factors, "free_rank": free}
+
+
+# plain output, then the result and trace of --json, over groups with a ℤ
+# factor; the subgroup's "generators" are its Hermite rows
+_Z93 = _group([0, 9], [9], 1)
+_Z4 = _group([0, 4], [4], 1)
+
+
+@pytest.mark.parametrize("argv, text, result, trace", [
+    (("torsion", "Z^2 + Z/3"),
+     ["t(M) has order 3, type Z/3", "generator: 0, 0, 1"],
+     {"group": _group([0, 0, 3], [3], 2),
+      "torsion": {"ambient": _group([0, 0, 3], [3], 2),
+                  "generators": [[0, 0, 1]], "order": 3,
+                  "group": _group([3], [3], 0)}}, None),
+    (("pure", "1,3", "Z + Z/9"), ["true"],
+     {"group": _Z93,
+      "subgroup": {"ambient": _Z93, "generators": [[1, 3], [0, 9]],
+                   "order": None, "group": _group([0], [], 1)},
+      "pure": True}, None),
+    (("pure", "3,0", "Z + Z/9"),
+     ["false", "witness: [3, 0] ∈ 3M ∩ H but ∉ 3H"],
+     {"group": _Z93,
+      "subgroup": {"ambient": _Z93, "generators": [[3, 0], [0, 9]],
+                   "order": None, "group": _group([0], [], 1)},
+      "pure": False}, {"witness": {"n": 3, "element": [3, 0]}}),
+    (("pure", "0,3", "Z + Z/9"),
+     ["false", "witness: [0, 3] ∈ 3M ∩ H but ∉ 3H"],
+     {"group": _Z93,
+      "subgroup": {"ambient": _Z93, "generators": [[0, 3]], "order": 3,
+                   "group": _group([3], [3], 0)},
+      "pure": False}, {"witness": {"n": 3, "element": [0, 3]}}),
+    (("eval", "E y. x = 2*y", "Z + Z/4"),
+     ["φ[M] ≤ M^1", "order: inf", "isomorphism type: Z/2 + Z",
+      "generator: 2, 0", "generator: 0, 2"],
+     {"formula": "E y . x = 2*y", "group": _Z4, "free_variables": ["x"],
+      "subgroup": {"ambient": _Z4, "generators": [[2, 0], [0, 2]],
+                   "order": None, "group": _group([2, 0], [2], 1)}}, None),
+])
+def test_exact_output_over_free_factors(capsys, argv, text, result, trace):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.splitlines() == text
+    code, doc = run_json(capsys, *argv)
+    assert code == 0 and doc["result"] == result
+    assert doc.get("trace") == trace
+
+
+def test_generator_with_a_leading_minus_follows_double_dash(capsys):
+    # without "--", argparse reads "-5,3" as an option and exits 2
+    with pytest.raises(SystemExit) as exc:
+        main(["pure", "-5,3", "Z/7 + Z/9"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "pure", "--", "-5,3", "Z/7 + Z/9")
+    assert code == 0
+    assert out.splitlines() == ["false", "witness: [2, 3] ∈ 3M ∩ H but ∉ 3H"]
+    code, doc = run_json(capsys, "pure", "--", "-5,3", "Z/7 + Z/9")
+    assert code == 0 and doc["result"]["pure"] is False
+    assert doc["trace"] == {"witness": {"n": 3, "element": [2, 3]}}
+
+
 def test_torsion(capsys):
     code, doc = run_json(capsys, "torsion", "Z + Z/6")
     assert code == 0
@@ -140,6 +203,15 @@ def test_complement_success_and_failure(capsys):
     (("pure", "x", "Z/4"), "coordinate 'x' of generator 'x' is not an integer"),
     (("pure", "1, 2.5", "Z/4 + Z/2"),
      "coordinate '2.5' of generator '1, 2.5' is not an integer"),
+    # each parser names the end of its input
+    (("low", "x = 2*y &"),
+     "expected a term, got end of input (line 1, column 10)"),
+    (("eval", "x =", "Z/4"),
+     "expected a term, got end of input (line 1, column 4)"),
+    (("ulm", "Z/4+"), "unexpected end of input in group expression"),
+    (("card", "stable", "aleph(1"),
+     "expected ')', got end of input in cardinal expression"),
+    (("card", "stable", "aleph("), "bad ordinal index end of input"),
 ])
 def test_subgroup_parse_errors_name_the_input(capsys, argv, message):
     code, out, err = run(capsys, *argv)

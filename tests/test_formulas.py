@@ -50,6 +50,11 @@ def test_parse_multiple_bound():
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse("x = ")
+    for text, col in (("x = 2*y &", 10), ("x =", 4), ("(x = y", 7)):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert "end of input" in str(exc.value) and "None" not in str(exc.value)
+        assert f"(line 1, column {col})" in str(exc.value)
     with pytest.raises(FormulaError):
         parse("x + 1 = 0")  # nonzero constant breaks homogeneity
     with pytest.raises(FormulaError):

@@ -5,16 +5,20 @@ import random
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from reference import det, lattice_index, lattice_sum, snf_diagonal
+from reference import (
+    det,
+    hermite_by_elimination,
+    lattice_index,
+    lattice_sum,
+    snf_diagonal,
+)
 
 from pptor.intlinalg import (
     _with_slack,
     congruence_lattice,
-    hermite_mod,
     hermite_row_basis,
     identity_matrix,
     in_lattice,
-    intersection_mod,
     kernel_basis,
     lattice_coords,
     lattice_intersection,
@@ -127,17 +131,18 @@ def test_hermite_canonical():
     rng = random.Random(2)
     for _ in range(150):
         rows = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 4))
-        H = hermite_row_basis(rows)
+        free = [0] * len(rows[0])
+        H = hermite_row_basis(rows, free)
         shuffled = rows[:]
         rng.shuffle(shuffled)
         shuffled.append([sum(cs) for cs in zip(*rows)])
-        assert hermite_row_basis(shuffled) == H
+        assert hermite_row_basis(shuffled, free) == H
         for v in rows:
             assert in_lattice(H, v)
 
 
 def test_lattice_coords_and_reduce():
-    H = hermite_row_basis([[2, 0], [0, 3]])
+    H = hermite_row_basis([[2, 0], [0, 3]], (0, 0))
     assert lattice_coords(H, [4, -3]) == [2, -1]
     assert lattice_coords(H, [1, 0]) is None
 
@@ -186,14 +191,15 @@ def test_congruence_systems_against_enumeration():
         periodic = 0 not in moduli
         box = range(P) if periodic else range(-8, 9)
         L = congruence_lattice(A, moduli, keep)
-        assert L == hermite_row_basis(L)
+        assert L == hermite_by_elimination(L)
         sols = [x for x in itertools.product(box, repeat=ncols)
                 if _solves(A, x, [0] * nrows, moduli)]
         assert all(in_lattice(L, x[:keep]) for x in sols)
         if periodic:
             scaled = [[P if j == i else 0 for j in range(keep)]
                       for i in range(keep)]
-            assert hermite_row_basis([x[:keep] for x in sols] + scaled) == L
+            assert hermite_by_elimination(
+                [x[:keep] for x in sols] + scaled) == L
         rest = [row[keep:] for row in A]
         for r in L:  # each basis row extends to a solution
             b = [-sum(a * v for a, v in zip(row, r)) for row in A]
@@ -254,7 +260,7 @@ def test_sum_intersection_index():
     four = [[4]]
     six = [[6]]
     assert lattice_sum(four, six) == [[2]]
-    assert lattice_intersection(four, six) == [[12]]
+    assert lattice_intersection(four, six, (0,)) == [[12]]
     assert lattice_index([[2]], [[6]]) == 3
     assert lattice_index([[1, 0], [0, 1]], [[2, 0], [0, 3]]) == 6
     assert lattice_index([[1, 0], [0, 1]], [[2, 0]]) is None
@@ -264,26 +270,30 @@ def test_modular_distributivity_random():
     rng = random.Random(4)
     for _ in range(60):
         n = rng.randint(1, 3)
-        A, B, Cm = (hermite_row_basis(rand_matrix(rng, n, n)) for _ in range(3))
+        A, B, Cm = (hermite_by_elimination(rand_matrix(rng, n, n))
+                     for _ in range(3))
         if not (A and B and Cm):
             continue
-        left = lattice_intersection(lattice_sum(A, B), lattice_sum(A, Cm))
-        right = lattice_sum(A, lattice_intersection(lattice_sum(A, B), Cm))
+        free = (0,) * n
+        left = lattice_intersection(lattice_sum(A, B), lattice_sum(A, Cm), free)
+        right = lattice_sum(A, lattice_intersection(lattice_sum(A, B), Cm, free))
         # modular law holds since A ≤ A + B
         assert left == right
 
 
 def _diag(moduli):
     return [[m if j == i else 0 for j in range(len(moduli))]
-            for i, m in enumerate(moduli)]
+            for i, m in enumerate(moduli) if m]
 
 
 _entries = st.one_of(st.integers(-20, 20), st.integers(-10**7, 10**7))
 _modulus = st.one_of(st.integers(1, 12), st.integers(10**6, 10**6 + 7))
+# modulus 0 marks a free (ℤ) column
+_modulus_or_free = st.one_of(st.just(0), _modulus)
 
 
-def _moduli(n):
-    return st.lists(_modulus, min_size=n, max_size=n)
+def _moduli(n, modulus=_modulus_or_free):
+    return st.lists(modulus, min_size=n, max_size=n)
 
 
 def _rows(n, max_rows=5, entries=_entries):
@@ -294,24 +304,31 @@ def _rows(n, max_rows=5, entries=_entries):
 @example(([1, 10**6, 4], [[-3, 999_999, 7], [5, -2 * 10**6 - 1, -4]]))
 @example(([1, 1], [[-1, 5]]))
 @example(([], [[]]))
+@example(([0, 4, 0], [[0, 3, -5], [0, -1, 7]]))  # a free column with no pivot
+@example(([0, 6], [[-4, 3], [6, -1]]))  # a negative entry on a free pivot
 def test_hermite_mod_is_hermite_with_relations(case):
+    """The one HNF against gcd elimination over ℤ of the rows with
+    m_j·e_j for each nonzero modulus; a finite ambient gives a square form
+    with each pivot dividing its modulus."""
     moduli, rows = case
-    H = hermite_mod(rows, moduli)
-    assert H == hermite_row_basis(rows + _diag(moduli))
-    assert len(H) == len(moduli)
-    assert all(H[i][i] > 0 and moduli[i] % H[i][i] == 0 for i in range(len(H)))
+    H = hermite_row_basis(rows, moduli)
+    assert H == hermite_by_elimination(rows + _diag(moduli))
+    if 0 not in moduli:
+        assert len(H) == len(moduli)
+        assert all(H[i][i] > 0 and moduli[i] % H[i][i] == 0
+                   for i in range(len(H)))
 
 
 def test_hermite_mod_rejects_bad_input():
     for row in ([1, 2, 3], [1]):
         with pytest.raises(ValueError, match="length"):
-            hermite_mod([row], (4, 6))
+            hermite_row_basis([row], (4, 6))
     with pytest.raises(ValueError, match="moduli"):
-        hermite_mod([[1, 2]], (4, 0))
+        hermite_row_basis([[1, 2]], (4, -3))
 
 
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
-    _rows(n).filter(bool), _moduli(n) | st.none())), st.data())
+    _rows(n).filter(bool), _moduli(n))), st.data())
 def test_hermite_invariant_under_unimodular_change(case, data):
     """Shuffling the generators, adding a multiple of one to another and
     negating one leave the lattice, hence its HNF, unchanged."""
@@ -325,16 +342,19 @@ def test_hermite_invariant_under_unimodular_change(case, data):
             new[i] = [-a for a in new[i]]
         else:
             new[j] = [a + c * b for a, b in zip(new[j], new[i])]
-    assert hermite_row_basis(new) == hermite_row_basis(rows)
-    if moduli is not None:
-        assert hermite_mod(new, moduli) == hermite_mod(rows, moduli)
+    assert hermite_by_elimination(new) == hermite_by_elimination(rows)
+    assert hermite_row_basis(new, moduli) == hermite_row_basis(rows, moduli)
+    assert hermite_row_basis(rows, moduli) == \
+        hermite_by_elimination(rows + _diag(moduli))
 
 
 def _intersection_reference(b1, b2):
     """L1 ∩ L2 from the integer kernel of [b1^T | -b2^T]: x·b1 = y·b2."""
+    if not (b1 and b2):
+        return []
     n, k1 = len(b1[0]), len(b1)
     A = [[b1[i][c] for i in range(k1)] + [-r[c] for r in b2] for c in range(n)]
-    return hermite_row_basis(
+    return hermite_by_elimination(
         [[sum(x[i] * b1[i][c] for i in range(k1)) for c in range(n)]
          for x in kernel_basis(A)])
 
@@ -345,14 +365,20 @@ def _intersection_reference(b1, b2):
 @example(([[2, 4, 0], [0, 0, 0]], [[3, 6, 0]]))
 def test_zassenhaus_intersection_matches_kernel_reference(case):
     b1, b2 = case
-    meet = lattice_intersection(b1, b2)
+    meet = lattice_intersection(b1, b2, (0,) * len(b1[0]))
     assert meet == _intersection_reference(b1, b2)
-    assert all(in_lattice(hermite_row_basis(b), v) for b in case for v in meet)
+    assert all(in_lattice(hermite_by_elimination(b), v)
+               for b in case for v in meet)
 
 
 @given(st.integers(1, 4).flatmap(
     lambda n: st.tuples(_moduli(n), _rows(n, 3), _rows(n, 3))))
+@example(([0, 4], [[2, 1]], [[3, 0]]))
+@example(([0, 0], [], [[1, 1]]))
 def test_intersection_mod_matches_lattice_intersection(case):
+    """Intersections of lattices that contain m_j·e_j for each nonzero
+    modulus, some columns free, against the kernel reference."""
     moduli, r1, r2 = case
-    L1, L2 = hermite_mod(r1, moduli), hermite_mod(r2, moduli)
-    assert intersection_mod(L1, L2, moduli) == lattice_intersection(L1, L2)
+    L1, L2 = hermite_row_basis(r1, moduli), hermite_row_basis(r2, moduli)
+    assert lattice_intersection(L1, L2, moduli) == \
+        _intersection_reference(L1, L2)
