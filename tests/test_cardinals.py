@@ -42,10 +42,6 @@ def test_parse_unicode_aliases():
 
 
 def test_parse_errors():
-    with pytest.raises(CardinalError):
-        parse_cardinal("aleph(")
-    with pytest.raises(CardinalError):
-        parse_cardinal("2 ^")
     for text, message in (
             ("aleph(", "bad ordinal index end of input"),
             ("aleph(1", "expected ')', got end of input in cardinal expression"),
