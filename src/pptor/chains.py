@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .formulas import Equation, PpFormula, is_low
-from .groups import MAX_RANK, Element, FgGroup, GroupError, Subgroup, direct_sum
+from .groups import MAX_RANK, FgGroup, Subgroup, direct_sum
 from .ppsolve import evaluate
 
 
@@ -68,25 +68,3 @@ def witness_chain(p: int, M0: int, k: int) -> tuple[FormulaChain, FgGroup]:
             f"rank M0·k = {M0 * k} of B exceeds the limit {MAX_RANK}")
     B = direct_sum(*[FgGroup((p ** m,) * k) for m in range(1, M0 + 1)])
     return FormulaChain(lambda n: witness_formula(p, n)), B
-
-
-def witness_b_elements(p: int, M0: int) -> list[Element]:
-    """The proof's elements b_n = a_0 + a_1 + ⋯ + a_{n−1} (k = 1), where
-    a_n ∈ φ_n[B] \\ φ_{n+1}[B]; existence of each a_n is verified."""
-    chain, B = witness_chain(p, M0, 1)
-    a = []
-    for n in range(M0):
-        Sn = evaluate(chain(n), B)
-        Sn1 = evaluate(chain(n + 1), B)
-        found = None
-        for e in Sn.elements():
-            if not Sn1.contains(e):
-                found = e
-                break
-        if found is None:
-            raise GroupError(f"strict descent fails at level {n}")
-        a.append(found)
-    out = [B.zero()]
-    for n in range(1, M0 + 1):
-        out.append(out[-1] + a[n - 1])
-    return out

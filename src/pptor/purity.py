@@ -12,6 +12,13 @@ powers come from factoring each distinct nonzero modulus of M, then those
 of M/H, so a group whose moduli each factor is decided even when e does
 not.
 
+For finite M the top power n = p^K, K = v_p(e), cannot fail either: n kills
+the p-part of M and is a unit on the rest, so n·M = M_{p′} and
+n·M ∩ H = H_{p′} = n·H.  A finite M therefore tests only p^k with
+1 ≤ k < K, and a prime with K = 1 none (ℤ/6 tests nothing).  With a free
+part the top power is tested too, since n is no unit on a ℤ coordinate:
+ℤ ⊇ 2ℤ fails first at n = 2 = e.
+
 The test at n is one of indices, in any M = ℤ^f ⊕ ⊕ ℤ/m_j: n·H ⊆ n·M ∩ H
 always, so the two are equal iff [H : n·H] = [H : n·M ∩ H].  Let L be H's
 lattice, g_j = gcd(n, m_j) and h_j = m_j/g_j, so g_j = n and h_j = 0 on a ℤ
@@ -28,7 +35,8 @@ Complements are decided by splitting instead: a finitely generated H ≤ M is
 a direct summand iff a retraction r: M → H exists, and for finite M that
 holds iff H is pure.  So the order criterion and the Diophantine retraction
 search are two independent decisions of the same property.  The complement
-is ker r, the image of 1 − ι∘r for the inclusion ι of H.
+is ker r, the image of 1 − ι∘r for the inclusion ι of H; it is checked by
+orders and by the membership of each ι(r(e_j)) in H, with no second HNF.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from .groups import (
     factorize,
     quotient,
 )
-from .intlinalg import hermite_row_basis, pivot_product
+from .intlinalg import hermite_row_basis, in_lattice, pivot_product
 
 # purity.kernel_basis stays importable: perfbench's tracer test checks that a
 # wrapper installed on it here is removed again.
@@ -56,11 +64,12 @@ def _diagonal(entries) -> list[list[int]]:
             for i, d in enumerate(entries)]
 
 
-def _prime_powers(moduli) -> list[int]:
-    """The prime powers p^k > 1 dividing the lcm of the nonzero moduli,
-    ascending.  Each distinct modulus is factored once, after the primes
-    of the moduli before it are divided out: an invariant factor p·q of
-    M/H then factors when p and q are moduli of M."""
+def _prime_powers(moduli, with_top: bool) -> list[int]:
+    """The prime powers p^k > 1 dividing e, the lcm of the nonzero moduli,
+    ascending; each prime's top power p^{v_p(e)} only when `with_top`.  Each
+    distinct modulus is factored once, after the primes of the moduli
+    before it are divided out: an invariant factor p·q of M/H then factors
+    when p and q are moduli of M."""
     top: dict[int, int] = {}
     for m in dict.fromkeys(moduli):
         if m < 2:
@@ -73,7 +82,8 @@ def _prime_powers(moduli) -> list[int]:
             top[p] = max(top[p], k)
         if m > 1:
             top.update(factorize(m))
-    return sorted(p ** k for p, v in top.items() for k in range(1, v + 1))
+    return sorted(p ** k for p, v in top.items()
+                  for k in range(1, v + 1 if with_top else v))
 
 
 def _pure_at(n: int, H: Subgroup, M: FgGroup) -> bool:
@@ -100,14 +110,18 @@ def _meet_and_multiple(n: int, H: Subgroup, M: FgGroup):
 
 
 def _first_failure(H: Subgroup, M: FgGroup):
-    """The least n with n·M ∩ H ≠ n·H, or None.  The prime powers tried
-    come from M's moduli, and with a free part from those of M/H too."""
+    """The least n with n·M ∩ H ≠ n·H, or None.  For finite M the prime
+    powers tried are p^k with 1 ≤ k < v_p(exp M): at the top power the test
+    cannot fail (see the module docstring).  With a free part they are every
+    p^k dividing the lcm of the torsion exponents of M and M/H, the top
+    power included: ℤ ⊇ 2ℤ fails first at 2."""
     if H.ambient != M:
         raise GroupError("subgroup of a different group")
     moduli = M.moduli
-    if 0 in moduli:
+    free = 0 in moduli
+    if free:
         moduli += quotient(M, H).moduli
-    for n in _prime_powers(moduli):
+    for n in _prime_powers(moduli, with_top=free):
         if not _pure_at(n, H, M):
             return n
     return None
@@ -178,9 +192,11 @@ def complement(H: Subgroup, M: FgGroup):
     means none exists.  For finite M that happens exactly when H is not
     pure (Lemma mod (1)⇔(5) at finite scale), which is_pure decides
     independently by orders.  K = ker r is the image of 1 − ι∘r, since
-    r∘ι = 1: it is spanned by e_j − ι(r(e_j)) for each coordinate j of M.
-    The result is checked as H + K = M and |H|·|K| = |M|, which for finite
-    M says H ∩ K = 0.
+    r∘ι = 1: it is spanned by e_j − h_j with h_j = ι(r(e_j)) for each
+    coordinate j of M.  The result is checked as H + K = M and
+    |H|·|K| = |M|, which for finite M says H ∩ K = 0.  The first half is
+    checked by membership, with no second HNF: when every h_j lies in H,
+    each e_j = h_j + (e_j − h_j) lies in H + K.
     """
     if H.ambient != M:
         raise GroupError("subgroup of a different group")
@@ -189,11 +205,12 @@ def complement(H: Subgroup, M: FgGroup):
     r, emb = _retraction(H, M)
     if r is None:
         return None
-    rows = [[(1 if j == k else 0) - sum(c * e[k] for c, e in zip(image, emb))
-             for k in range(M.rank)]
-            for j, image in enumerate(r.matrix)]
-    K = Subgroup(M, rows)
-    if H.sum(K) != M.full_subgroup() or H.order() * K.order() != M.order():
+    images = [[sum(c * e[k] for c, e in zip(image, emb))
+               for k in range(M.rank)] for image in r.matrix]
+    K = Subgroup(M, [[(1 if j == k else 0) - h[k] for k in range(M.rank)]
+                     for j, h in enumerate(images)])
+    if (not all(in_lattice(H.basis, h) for h in images)
+            or H.order() * K.order() != M.order()):
         raise GroupError("the image of 1 − ι∘r is not a direct complement")
     return K
 

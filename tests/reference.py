@@ -9,14 +9,19 @@ variable (`normalize_per_variable`), lattice indices by determinants
 enumeration, purity by splitting, the Ulm invariants by subgroup arithmetic
 on the socle layers, and a pp-type table's clamp by trying each K against
 its definition (`trimmed_by_definition`).
+
+`witness_b_elements` is the one route here with no library counterpart:
+it finds the proof's elements b_n of the witness chain by enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from pptor.chains import witness_chain
 from pptor.formulas import Equation, MatrixForm, PpFormula
 from pptor.groups import (
+    Element,
     FgGroup,
     GroupError,
     Homomorphism,
@@ -29,6 +34,7 @@ from pptor.intlinalg import (
     smith_normal_form,
 )
 from pptor.invariants import UlmInvariants
+from pptor.ppsolve import evaluate
 from pptor.purity import _retraction
 
 
@@ -220,3 +226,25 @@ def ulm_invariants(G: FgGroup) -> UlmInvariants:
 
 def _scaled(G: FgGroup, H: Subgroup, n: int) -> Subgroup:
     return Subgroup(G, [[n * v for v in row] for row in H.basis])
+
+
+def witness_b_elements(p: int, M0: int) -> list[Element]:
+    """The proof's elements b_n = a_0 + a_1 + ⋯ + a_{n−1} (k = 1), where
+    a_n ∈ φ_n[B] \\ φ_{n+1}[B]; existence of each a_n is verified."""
+    chain, B = witness_chain(p, M0, 1)
+    a = []
+    for n in range(M0):
+        Sn = evaluate(chain(n), B)
+        Sn1 = evaluate(chain(n + 1), B)
+        found = None
+        for e in Sn.elements():
+            if not Sn1.contains(e):
+                found = e
+                break
+        if found is None:
+            raise GroupError(f"strict descent fails at level {n}")
+        a.append(found)
+    out = [B.zero()]
+    for n in range(1, M0 + 1):
+        out.append(out[-1] + a[n - 1])
+    return out

@@ -14,6 +14,7 @@ from pptor.groups import (
     Subgroup,
     abelian_groups_upto,
     all_subgroups,
+    factorize,
     is_isomorphic,
     quotient,
 )
@@ -50,6 +51,36 @@ def test_2z_in_z_not_pure():
     assert not purity.is_pure(H, M)
     n, a = purity.purity_witness(H, M)
     assert n == 2 and a.coords == (2,)
+
+
+def test_top_prime_power_never_fails_in_a_finite_group():
+    """n·M ∩ H = n·H at n = p^K, K = v_p(exp M), for every prime p of
+    exp M, on every subgroup of every group of order ≤ 64, factors as
+    listed and reversed: n·M = M_{p′} there, so both sides are H_{p′}.
+    That is why a finite M does not test that power."""
+    pairs = 0
+    for G in abelian_groups_upto(64):
+        for M in (G, FgGroup(G.moduli[::-1])):
+            tops = [p ** k for p, k in factorize(M.exponent()).items()]
+            for H in all_subgroups(M):
+                assert all(purity._pure_at(n, H, M) for n in tops)
+                pairs += 1
+    assert pairs == 12044
+
+
+def test_free_part_can_fail_first_at_the_top_prime_power():
+    """With a ℤ factor the top power of the lcm e of the torsion exponents
+    of M and M/H is tested too, and can be the least failure: e = 2 for
+    2ℤ ≤ ℤ, and e = 4 for ⟨(2, 1)⟩ ≤ ℤ ⊕ ℤ/2, pure at 2 but not at 4."""
+    for moduli, gen, witness in (((0,), [2], (2, (2,))),
+                                 ((0, 2), [2, 1], (4, (4, 0)))):
+        M = FgGroup(moduli)
+        H = Subgroup.from_generators(M, [M.element(gen)])
+        assert not purity.is_pure(H, M)
+        n, a = purity.purity_witness(H, M)
+        assert (n, a.coords) == witness
+        assert max(purity._prime_powers(M.moduli + quotient(M, H).moduli,
+                                        with_top=True)) == n
 
 
 # Subgroups of Z + Z/p + Z/q for primes 3 ≤ p < q, each with its
@@ -225,6 +256,20 @@ def test_complement_rejects_a_map_that_is_not_a_retraction(monkeypatch):
         purity.complement(H, M)
     # for H = 0 the zero map is the retraction, and K = M
     assert purity.complement(M.zero_subgroup(), M) == M.full_subgroup()
+
+
+def test_complement_rejects_an_embedding_that_leaves_h(monkeypatch):
+    """complement checks H + K = M, not only |H|·|K| = |M|: with the
+    retraction onto L = ⟨(0, 1)⟩ in place of one onto H = ⟨(1, 0)⟩ in
+    (ℤ/2)², the embedding rows leave H, and the image of 1 − ι∘r is
+    ⟨(1, 0)⟩ = H, of the right order but with H + K = H."""
+    real = purity._retraction
+    M = FgGroup((2, 2))
+    L = Subgroup(M, [[0, 1]])
+    monkeypatch.setattr(purity, "_retraction", lambda H, M: real(L, M))
+    H = Subgroup(M, [[1, 0]])
+    with pytest.raises(GroupError, match="not a direct complement"):
+        purity.complement(H, M)
 
 
 def test_purity_and_complement_with_trivial_coordinates():
