@@ -1,6 +1,5 @@
 import pytest
 import reference
-from reference import witness_b_elements
 
 from pptor import chains, ppsolve
 from pptor.formulas import is_low, parse
@@ -59,7 +58,7 @@ def test_stabilization_not_found_when_still_moving():
 
 
 def test_witness_b_elements():
-    bs = witness_b_elements(2, 4)
+    bs = reference.witness_b_elements(2, 4)
     chain, B = chains.witness_chain(2, 4, 1)
     assert len(bs) == 5  # partial sums b_0 = 0 through b_4
     for n in range(4):
@@ -72,7 +71,7 @@ def test_witness_b_elements_reports_failed_descent(monkeypatch):
     # every level the same subgroup: no a_0 ∈ φ_0[B] \ φ_1[B] exists
     monkeypatch.setattr(reference, "evaluate", lambda f, M: M.full_subgroup())
     with pytest.raises(GroupError, match="strict descent fails at level 0"):
-        witness_b_elements(2, 3)
+        reference.witness_b_elements(2, 3)
 
 
 def test_generic_formula_chain():
