@@ -14,6 +14,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from ._lexer import Cursor, _integer, _shown
+
 OMEGA = "w"  # ordinal index ω
 
 
@@ -398,20 +400,8 @@ _GREEK = {"lambda": "λ", "kappa": "κ", "mu": "μ", "nu": "ν"}
 
 
 def parse_cardinal(text: str):
-    tokens = _tokenize(text)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]]
-
-    def take(kind=None):
-        tok = tokens[pos[0]]
-        if kind and tok[0] != kind:
-            raise CardinalError(
-                f"expected {kind!r}, got {_shown(tok)} in cardinal expression"
-            )
-        pos[0] += 1
-        return tok
+    tokens = Cursor(text, "+*^()", _cardinal_error)
+    peek, take = tokens.peek, tokens.take
 
     def parse_sum():
         out = [parse_prod()]
@@ -463,14 +453,12 @@ def parse_cardinal(text: str):
                     return cls(idx)
                 if name.startswith(fam):
                     suffix = name[len(fam):]
-                    if suffix.isdigit():
-                        return cls(int(suffix))
+                    if suffix.isascii() and suffix.isdigit():
+                        return cls(_integer(suffix, _cardinal_error, *tok[2:]))
                     if suffix in ("w", "omega", "ω"):
                         return cls(OMEGA)
             return Var(_GREEK.get(name, name))
-        if tok[0] == "eof":
-            raise CardinalError("unexpected end of input in cardinal expression")
-        raise CardinalError(f"unexpected token {tok[1]!r} in cardinal expression")
+        tokens.unexpected()
 
     out = parse_sum()
     if peek()[0] != "eof":
@@ -478,39 +466,8 @@ def parse_cardinal(text: str):
     return out
 
 
-def _shown(tok) -> str:
-    return "end of input" if tok[0] == "eof" else repr(tok[1])
-
-
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j])))
-            i = j
-            continue
-        if ch.isalpha() or ch in "λκμνω_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] in "λκμνω_"):
-                j += 1
-            tokens.append(("ident", text[i:j]))
-            i = j
-            continue
-        if ch in "+*^()":
-            tokens.append((ch, ch))
-            i += 1
-            continue
-        raise CardinalError(f"unexpected character {ch!r} in cardinal expression")
-    tokens.append(("eof", None))
-    return tokens
+def _cardinal_error(message: str, line: int, col: int) -> CardinalError:
+    return CardinalError(f"{message} in cardinal expression")
 
 
 def card_str(e, prec: int = 0) -> str:

@@ -16,6 +16,7 @@ from math import inf
 
 from . import cardinals as C
 from . import chains, invariants, ppsolve, purity, verify
+from ._lexer import int_digit_limit
 from .cardinals import CardinalError
 from .formulas import (
     FormulaError,
@@ -39,14 +40,20 @@ def _parse_subgroup(text: str, M: FgGroup) -> Subgroup:
     if text in ("", "0"):
         return Subgroup.from_generators(M, [])
     gens = []
-    for part in text.split(";"):
+    for g, part in enumerate(text.split(";"), 1):
         if not part.strip():
             raise CliError(f"empty generator in subgroup {text!r}")
         coords = []
-        for tok in part.split(","):
+        for k, tok in enumerate(part.split(","), 1):
             try:
                 coords.append(int(tok))
             except ValueError:
+                digits, limit = sum(map(str.isdigit, tok)), int_digit_limit()
+                if 0 < limit < digits:
+                    raise CliError(
+                        f"coordinate {k} of generator {g} has {digits} "
+                        f"digits and exceeds the limit of {limit} digits"
+                    ) from None
                 raise CliError(
                     f"coordinate {tok.strip()!r} of generator "
                     f"{part.strip()!r} is not an integer") from None

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._lexer import Cursor, _shown
 from .intlinalg import congruence_lattice, solve_diophantine
 
 # a linear combination is a tuple of (coefficient, variable-or-None) terms;
@@ -86,78 +87,14 @@ class MatrixForm:
 # parsing
 
 
-def _tokenize(text: str):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j]), line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "*+-=&().":
-            tokens.append((ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(("eof", None, line, col))
-    return tokens
-
-
-def _shown(tok) -> str:
-    return "end of input" if tok[0] == "eof" else repr(tok[1])
-
-
-class _Parser:
+class _Parser(Cursor):
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, got {_shown(tok)}", tok[2], tok[3])
-        return tok
-
-    def error(self, message):
-        tok = self.peek()
-        raise ParseError(message, tok[2], tok[3])
+        super().__init__(text, "*+-=&().", ParseError)
 
     def _at_quantifier(self) -> bool:
         tok = self.peek()
         return (tok[0] == "ident" and tok[1] == "E"
-                and self.tokens[self.pos + 1][0] == "ident")
+                and self.peek(1)[0] == "ident")
 
     def parse_formula(self):
         # bound is a list of (var, index of first equation in its scope);
@@ -165,11 +102,11 @@ class _Parser:
         # of the conjunction, which prenexes soundly — capture is rejected)
         bound, eqs = self.parse_conj()
         if self.peek()[0] != "eof":
-            self.error(f"unexpected token {self.peek()[1]!r}")
+            self.unexpected()
         for var, start in bound:
             for eq in eqs[:start]:
                 if var in eq.variables():
-                    self.error(
+                    self.fail(
                         f"variable {var!r} is bound after occurring free"
                     )
         return [v for v, _ in bound], eqs
@@ -177,7 +114,7 @@ class _Parser:
     def parse_conj(self):
         bound, eqs = self.parse_atom()
         while self.peek()[0] == "&":
-            self.next()
+            self.take()
             b2, e2 = self.parse_atom()
             bound += [(v, i + len(eqs)) for v, i in b2]
             eqs += e2
@@ -185,49 +122,49 @@ class _Parser:
 
     def parse_atom(self):
         if self._at_quantifier():
-            self.next()
+            self.take()
             names = []
             while self.peek()[0] == "ident":
-                names.append(self.next()[1])
-            self.expect(".")
+                names.append(self.take()[1])
+            self.take(".")
             bound, eqs = self.parse_conj()
             return [(v, 0) for v in names] + bound, eqs
         if self.peek()[0] == "(":
-            self.next()
+            self.take()
             bound, eqs = self.parse_conj()
-            self.expect(")")
+            self.take(")")
             return bound, eqs
         lhs = self.parse_lincomb()
-        self.expect("=")
+        self.take("=")
         rhs = self.parse_lincomb()
         return [], [Equation(lhs, rhs)]
 
     def parse_lincomb(self):
         terms = [self.parse_term(1)]
         while self.peek()[0] in ("+", "-"):
-            sign = 1 if self.next()[0] == "+" else -1
+            sign = 1 if self.take()[0] == "+" else -1
             terms.append(self.parse_term(sign))
         return tuple(terms)
 
     def parse_term(self, sign):
         neg = False
         if self.peek()[0] == "-":
-            self.next()
+            self.take()
             neg = True
         tok = self.peek()
         if tok[0] == "int":
-            self.next()
+            self.take()
             coeff = -tok[1] if neg else tok[1]
             if self.peek()[0] == "*":
-                self.next()
-                var = self.expect("ident")[1]
+                self.take()
+                var = self.take("ident")[1]
                 return (sign * coeff, var)
             return (sign * coeff, None)
         if tok[0] == "ident":
-            self.next()
+            self.take()
             coeff = -1 if neg else 1
             return (sign * coeff, tok[1])
-        self.error(f"expected a term, got {_shown(tok)}")
+        self.fail(f"expected a term, got {_shown(tok)}")
 
 
 def parse(text: str) -> PpFormula:

@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, inf, lcm, prod
 
+from ._lexer import Cursor
 from .intlinalg import (
     hermite_row_basis,
     identity_matrix,
@@ -128,11 +129,6 @@ class FgGroup:
 
     def zero(self) -> "Element":
         return self.element((0,) * self.rank)
-
-    def generators(self) -> list["Element"]:
-        g = self.rank
-        return [self.element([1 if j == i else 0 for j in range(g)])
-                for i in range(g) if self.moduli[i] != 1]
 
     def elements(self):
         """All elements; finite groups only."""
@@ -525,19 +521,8 @@ def _check_rank(rank: int) -> None:
 
 def parse_group(text: str) -> FgGroup:
     """Parse e.g. '(Z/4)^3 + Z/2 + Z^2' into an FgGroup of rank ≤ MAX_RANK."""
-    tokens = _tokenize_group(text)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]]
-
-    def take(kind=None):
-        tok = tokens[pos[0]]
-        if kind and tok[0] != kind:
-            raise GroupError(
-                f"expected {kind!r}, got {_shown(tok)} in group expression")
-        pos[0] += 1
-        return tok
+    tokens = Cursor(text, "Z+^/()", _group_error, names=False)
+    peek, take = tokens.peek, tokens.take
 
     def parse_expr():
         parts = [parse_power()]
@@ -552,8 +537,6 @@ def parse_group(text: str) -> FgGroup:
         if peek()[0] == "^":
             take()
             n = take("int")[1]
-            if n < 0:
-                raise GroupError("negative power in group expression")
             _check_rank(base.rank * n)
             return direct_sum(*([base] * n)) if base.rank else base
         return base
@@ -577,9 +560,7 @@ def parse_group(text: str) -> FgGroup:
         if tok[0] == "int" and tok[1] == 0:
             take()
             return FgGroup(())
-        if tok[0] == "eof":
-            raise GroupError("unexpected end of input in group expression")
-        raise GroupError(f"unexpected token {tok[1]!r} in group expression")
+        tokens.unexpected()
 
     g = parse_expr()
     if peek()[0] != "eof":
@@ -587,36 +568,8 @@ def parse_group(text: str) -> FgGroup:
     return g
 
 
-def _shown(tok) -> str:
-    return "end of input" if tok[0] == "eof" else repr(tok[1])
-
-
-def _tokenize_group(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j])))
-            i = j
-            continue
-        if ch == "Z":
-            tokens.append(("Z", "Z"))
-            i += 1
-            continue
-        if ch in "+^/()":
-            tokens.append((ch, ch))
-            i += 1
-            continue
-        raise GroupError(f"unexpected character {ch!r} in group expression")
-    tokens.append(("eof", None))
-    return tokens
+def _group_error(message: str, line: int, col: int) -> GroupError:
+    return GroupError(f"{message} in group expression")
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ def mat_vec(A: Matrix, v: list[int]) -> list[int]:
     return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
-SNF_TRANSFORMS = frozenset({"U", "V", "Vinv"})
+SNF_TRANSFORMS = frozenset({"V", "Vinv"})
 
 
 def smith_normal_form(A: Matrix, transforms=SNF_TRANSFORMS, carry=None):
@@ -71,23 +71,18 @@ def smith_normal_form(A: Matrix, transforms=SNF_TRANSFORMS, carry=None):
     are built; the others come back as None.  The pivots do not depend on
     which are built.
 
-    U is never built as such.  ``carry`` (len(A) rows) rides along as extra
+    U is never built.  ``carry`` (len(A) rows) rides along as extra
     columns of A: every row operation acts on them, while the pivot search,
     the column operations and the divisibility test never read them, so at
-    the end they hold U·carry, which comes back in U's place.  Naming "U"
-    carries the identity; it cannot be named together with ``carry``.  V
-    rides along the same way as extra rows, which only the column
-    operations touch.
+    the end they hold U·carry, which comes back in U's place (None without
+    ``carry``; carrying the identity gives U itself).  V rides along the
+    same way as extra rows, which only the column operations touch.
     """
     if not SNF_TRANSFORMS.issuperset(transforms):
         unknown = sorted(set(transforms) - SNF_TRANSFORMS)
         raise ValueError(f"unknown Smith form transforms {unknown}")
     m = len(A)
-    if "U" in transforms:
-        if carry is not None:
-            raise ValueError("carry replaces the U transform; name one of them")
-        carry = identity_matrix(m)
-    elif carry is not None and len(carry) != m:
+    if carry is not None and len(carry) != m:
         raise ValueError(f"carry has {len(carry)} rows, A has {m}")
     n = len(A[0]) if m else 0
     if carry is None:

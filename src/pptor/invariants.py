@@ -34,17 +34,11 @@ class UlmInvariants:
     def alpha_dict(self) -> dict:
         return dict(self.alpha)
 
-    def gamma_dict(self) -> dict:
-        return dict(self.gamma)
-
     def __add__(self, other: "UlmInvariants") -> "UlmInvariants":
-        a = self.alpha_dict()
-        for k, v in other.alpha:
-            a[k] = a.get(k, 0) + v
-        g = self.gamma_dict()
-        for k, v in other.gamma:
-            g[k] = g.get(k, 0) + v
-        return UlmInvariants.from_dicts(a, g)
+        """The invariants of the direct sum: multiplicities add."""
+        return UlmInvariants.from_dicts(
+            Counter(dict(self.alpha)) + Counter(dict(other.alpha)),
+            Counter(dict(self.gamma)) + Counter(dict(other.gamma)))
 
 
 def ulm_invariants(G: FgGroup) -> UlmInvariants:

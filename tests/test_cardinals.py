@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -49,6 +50,27 @@ def test_parse_errors():
         with pytest.raises(CardinalError) as exc:
             parse_cardinal(text)
         assert str(exc.value) == message
+
+
+def test_parse_reads_ascii_digits_up_to_the_literal_limit():
+    """Only an ASCII-digit suffix makes aleph/beth an index: aleph² and
+    aleph٣ are names, as x² is; a literal past the interpreter's
+    integer-string limit, alone or as a suffix, names the limit."""
+    limit = sys.get_int_max_str_digits()
+    too_long = (f"integer literal of 5000 digits exceeds the limit of {limit} "
+                "digits in cardinal expression")
+    for text, message in (
+            ("2^²", "unexpected character '²' in cardinal expression"),
+            ("beth(٣)", "unexpected character '٣' in cardinal expression"),
+            ("7" * 5000, too_long),
+            ("aleph" + "7" * 5000, too_long),
+            ("beth(" + "7" * 5000 + ")", too_long)):
+        with pytest.raises(CardinalError) as exc:
+            parse_cardinal(text)
+        assert str(exc.value) == message
+    assert parse_cardinal("aleph²") == Var("aleph²")
+    assert parse_cardinal("aleph٣") == Var("aleph٣")
+    assert parse_cardinal("aleph" + "7" * limit) == Aleph(int("7" * limit))
 
 
 def test_normalize_rules():

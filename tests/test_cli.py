@@ -11,6 +11,7 @@ import pytest
 import pptor
 from pptor.cli import main
 
+LIMIT = sys.get_int_max_str_digits()
 SCHEMA = json.loads(
     (Path(pptor.__file__).parent / "schemas" / "cli-result-1.json").read_text())
 
@@ -212,6 +213,24 @@ def test_complement_success_and_failure(capsys):
     (("card", "stable", "aleph(1"),
      "expected ')', got end of input in cardinal expression"),
     (("card", "stable", "aleph("), "bad ordinal index end of input"),
+    # numbers are ASCII digits, and no literal passes the interpreter's
+    # integer-string limit
+    (("low", "x = ²*y"), "unexpected character '²' (line 1, column 5)"),
+    (("ulm", "Z/٣"), "unexpected character '٣' in group expression"),
+    (("card", "stable", "2^²"),
+     "unexpected character '²' in cardinal expression"),
+    (("eval", "x = " + "7" * 5000 + "*y", "Z/4"),
+     f"integer literal of 5000 digits exceeds the limit of {LIMIT} digits "
+     "(line 1, column 5)"),
+    (("ulm", "Z/" + "7" * 5000),
+     f"integer literal of 5000 digits exceeds the limit of {LIMIT} digits "
+     "in group expression"),
+    (("card", "stable", "aleph" + "7" * 5000),
+     f"integer literal of 5000 digits exceeds the limit of {LIMIT} digits "
+     "in cardinal expression"),
+    (("pure", "1, " + "7" * 5000, "Z/4 + Z/2"),
+     f"coordinate 2 of generator 1 has 5000 digits and exceeds the limit "
+     f"of {LIMIT} digits"),
 ])
 def test_subgroup_parse_errors_name_the_input(capsys, argv, message):
     code, out, err = run(capsys, *argv)

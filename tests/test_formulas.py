@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -61,6 +62,26 @@ def test_parse_errors():
         parse("E y. y = 0 & E y. x = y")  # duplicate bound variable
     with pytest.raises(FormulaError):
         parse("y = 0 & E y. x = 2*y")  # capture of an occurring variable
+
+
+def test_parse_reads_ascii_digits_up_to_the_literal_limit():
+    """A non-ASCII digit is an unexpected character, not a number; a
+    literal past the interpreter's integer-string limit is a ParseError
+    that names the limit; a literal at the limit parses."""
+    limit = sys.get_int_max_str_digits()
+    for text, message in (
+            ("x = ²*y", "unexpected character '²' (line 1, column 5)"),
+            ("x =\n ٣*y", "unexpected character '٣' (line 2, column 2)"),
+            ("x = 3²*y", "unexpected character '²' (line 1, column 6)"),
+            ("x = " + "7" * 5000 + "*y",
+             f"integer literal of 5000 digits exceeds the limit of {limit} "
+             "digits (line 1, column 5)")):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+    assert parse("x² = y٣").free_vars == ("x²", "y٣")  # names are as before
+    f = parse("x = " + "7" * limit + "*y")
+    assert f.equations[0].rhs == ((int("7" * limit), "y"),)
 
 
 def test_print_parse_roundtrip_random():

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -83,6 +84,21 @@ def test_parse_group_dsl():
     for text in ("(Z/2)^40 + Z^25", "(Z/2 + Z)^33", "(Z/2)^1000000000000"):
         with pytest.raises(GroupError, match="limit 64"):
             parse_group(text)
+
+
+def test_parse_group_reads_ascii_digits_up_to_the_literal_limit():
+    limit = sys.get_int_max_str_digits()
+    for text, message in (
+            ("Z/²", "unexpected character '²' in group expression"),
+            ("Z/٣", "unexpected character '٣' in group expression"),
+            ("(Z/4)^٣", "unexpected character '٣' in group expression"),
+            ("Z/" + "7" * 5000,
+             f"integer literal of 5000 digits exceeds the limit of {limit} "
+             "digits in group expression")):
+        with pytest.raises(GroupError) as exc:
+            parse_group(text)
+        assert str(exc.value) == message
+    assert parse_group("Z/" + "7" * limit).moduli == (int("7" * limit),)
 
 
 @given(st.lists(st.one_of(st.just(0), st.integers(1, 10**12)),

@@ -35,7 +35,7 @@ def rand_matrix(rng, rows, cols, bound=9):
 
 def test_snf_small():
     A = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    U, S, V, _ = smith_normal_form(A, ("U", "V"))
+    U, S, V, _ = smith_normal_form(A, ("V",), carry=identity_matrix(3))
     assert mat_mul(mat_mul(U, A), V) == S
     assert snf_diagonal(A) == [2, 2, 156]
 
@@ -45,7 +45,7 @@ def test_snf_random_properties():
     for _ in range(150):
         r, c = rng.randint(1, 4), rng.randint(1, 4)
         A = rand_matrix(rng, r, c)
-        U, S, V, Vi = smith_normal_form(A)
+        U, S, V, Vi = smith_normal_form(A, carry=identity_matrix(r))
         assert mat_mul(mat_mul(U, A), V) == S
         assert abs(det(U)) == 1 and abs(det(V)) == 1
         assert mat_mul(V, Vi) == identity_matrix(c)
@@ -66,8 +66,8 @@ def _matrix(rows, cols, entries=st.integers(-9, 9)):
                     min_size=rows, max_size=rows)
 
 
-_SNF_SUBSETS = [set(c) for k in range(4)
-                for c in itertools.combinations(("U", "V", "Vinv"), k)]
+_SNF_SUBSETS = [set(c) for k in range(3)
+                for c in itertools.combinations(("V", "Vinv"), k)]
 
 
 @given(st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
@@ -79,18 +79,20 @@ _SNF_SUBSETS = [set(c) for k in range(4)
 @example([[-4, 6], [6, -9], [0, 0], [10, 15]])
 def test_snf_builds_only_the_named_transforms(A):
     """Every subset of the transforms gives the full call's S and the full
-    call's value of each transform it names, None for the others; the full
-    call has U·A·V = S and V·V⁻¹ = I."""
-    U, S, V, Vi = full = smith_normal_form(A)
+    call's value of each transform it names, None for the others and for U;
+    the full call, carrying the identity, has U·A·V = S and V·V⁻¹ = I.
+    U is not a transform: it is only ever carried."""
+    U, S, V, Vi = full = smith_normal_form(A, carry=identity_matrix(len(A)))
     assert mat_mul(mat_mul(U, A), V) == S
     assert mat_mul(V, Vi) == identity_matrix(len(V))
     for names in _SNF_SUBSETS:
         part = smith_normal_form(A, names)
-        assert part[1] == S
-        for k, name in ((0, "U"), (2, "V"), (3, "Vinv")):
+        assert part[0] is None and part[1] == S
+        for k, name in ((2, "V"), (3, "Vinv")):
             assert part[k] == (full[k] if name in names else None), names
-    with pytest.raises(ValueError, match="unknown"):
-        smith_normal_form(A, ("V", "W"))
+    for names in (("V", "W"), ("U",), ("U", "V")):
+        with pytest.raises(ValueError, match="unknown"):
+            smith_normal_form(A, names)
 
 
 @given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3))
@@ -98,17 +100,15 @@ def test_snf_builds_only_the_named_transforms(A):
 @example(([[2]], [[1]]))                  # a carried unit beside no unit of A
 @example(([[2, 0], [0, 4]], [[0], [1]]))  # only the carried column breaks 2 | ·
 def test_snf_carried_columns(case):
-    """Columns carried through the Smith form of A end as U·B, with U from
-    the "U" transform, and leave S, V and V⁻¹ as the call without them
+    """Columns carried through the Smith form of A end as U·B, with U the
+    carried identity, and leave S, V and V⁻¹ as the call without them
     gives: the pivot search, the column operations and the divisibility
     test never read them."""
     A, B = case
-    U, S, V, Vi = smith_normal_form(A)
+    U, S, V, Vi = smith_normal_form(A, carry=identity_matrix(len(A)))
     UB, *rest = smith_normal_form(A, ("V", "Vinv"), carry=B)
     assert UB == mat_mul(U, B)
     assert rest == [S, V, Vi]
-    with pytest.raises(ValueError, match="carry"):
-        smith_normal_form(A, ("U",), carry=B)
     with pytest.raises(ValueError, match="rows"):
         smith_normal_form(A, (), carry=[*B, []])
 
