@@ -19,13 +19,18 @@ def int_digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-def _integer(digits: str, error, line: int, col: int) -> int:
-    """int(digits), or the grammar's error past the integer-string limit."""
+def _integer(text: str, error, line: int, col: int) -> int | None:
+    """The one number rule: ``text`` as an optional sign and ASCII digits,
+    spaces around; None if it is not one; the error past the limit."""
+    body = text.strip()
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if not digits or not all("0" <= ch <= "9" for ch in digits):
+        return None
     limit = int_digit_limit()
     if 0 < limit < len(digits):
         raise error(f"integer literal of {len(digits)} digits exceeds the "
                     f"limit of {limit} digits", line, col)
-    return int(digits)
+    return int(body)
 
 
 def _tokenize(text: str, punctuation: str, error, names: bool = True):

@@ -453,8 +453,9 @@ def parse_cardinal(text: str):
                     return cls(idx)
                 if name.startswith(fam):
                     suffix = name[len(fam):]
-                    if suffix.isascii() and suffix.isdigit():
-                        return cls(_integer(suffix, _cardinal_error, *tok[2:]))
+                    index = _integer(suffix, _cardinal_error, *tok[2:])
+                    if index is not None:
+                        return cls(index)
                     if suffix in ("w", "omega", "ω"):
                         return cls(OMEGA)
             return Var(_GREEK.get(name, name))

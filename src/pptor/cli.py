@@ -16,7 +16,7 @@ from math import inf
 
 from . import cardinals as C
 from . import chains, invariants, ppsolve, purity, verify
-from ._lexer import int_digit_limit
+from ._lexer import _integer
 from .cardinals import CardinalError
 from .formulas import (
     FormulaError,
@@ -34,6 +34,11 @@ class CliError(ValueError):
     pass
 
 
+def _coordinate_error(message: str, generator: int, coordinate: int):
+    """The lexer's error(message, line, column) for one coordinate."""
+    return CliError(f"coordinate {coordinate} of generator {generator}: {message}")
+
+
 def _parse_subgroup(text: str, M: FgGroup) -> Subgroup:
     """Generators separated by ';', coordinates by ',': e.g. '2,0; 0,1'."""
     text = text.strip()
@@ -45,18 +50,12 @@ def _parse_subgroup(text: str, M: FgGroup) -> Subgroup:
             raise CliError(f"empty generator in subgroup {text!r}")
         coords = []
         for k, tok in enumerate(part.split(","), 1):
-            try:
-                coords.append(int(tok))
-            except ValueError:
-                digits, limit = sum(map(str.isdigit, tok)), int_digit_limit()
-                if 0 < limit < digits:
-                    raise CliError(
-                        f"coordinate {k} of generator {g} has {digits} "
-                        f"digits and exceeds the limit of {limit} digits"
-                    ) from None
+            coord = _integer(tok, _coordinate_error, g, k)
+            if coord is None:
                 raise CliError(
                     f"coordinate {tok.strip()!r} of generator "
-                    f"{part.strip()!r} is not an integer") from None
+                    f"{part.strip()!r} is not an integer")
+            coords.append(coord)
         if len(coords) != M.rank:
             raise CliError(
                 f"generator {part.strip()!r} has {len(coords)} coordinates, "

@@ -106,9 +106,7 @@ class _Parser(Cursor):
         for var, start in bound:
             for eq in eqs[:start]:
                 if var in eq.variables():
-                    self.fail(
-                        f"variable {var!r} is bound after occurring free"
-                    )
+                    self.fail(f"variable {var!r} is bound after occurring free")
         return [v for v, _ in bound], eqs
 
     def parse_conj(self):

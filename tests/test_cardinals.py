@@ -1,8 +1,8 @@
 import random
-import sys
 
 import pytest
 
+from pptor._lexer import int_digit_limit
 from pptor.cardinals import (
     ALEPH0,
     FALSE,
@@ -56,21 +56,23 @@ def test_parse_reads_ascii_digits_up_to_the_literal_limit():
     """Only an ASCII-digit suffix makes aleph/beth an index: aleph² and
     aleph٣ are names, as x² is; a literal past the interpreter's
     integer-string limit, alone or as a suffix, names the limit."""
-    limit = sys.get_int_max_str_digits()
-    too_long = (f"integer literal of 5000 digits exceeds the limit of {limit} "
-                "digits in cardinal expression")
-    for text, message in (
-            ("2^²", "unexpected character '²' in cardinal expression"),
-            ("beth(٣)", "unexpected character '٣' in cardinal expression"),
-            ("7" * 5000, too_long),
-            ("aleph" + "7" * 5000, too_long),
-            ("beth(" + "7" * 5000 + ")", too_long)):
+    limit = int_digit_limit()
+    cases = [("2^²", "unexpected character '²' in cardinal expression"),
+             ("beth(٣)", "unexpected character '٣' in cardinal expression")]
+    if 0 < limit < 5000:  # a limit of 0 means none
+        too_long = (f"integer literal of 5000 digits exceeds the limit of "
+                    f"{limit} digits in cardinal expression")
+        cases += [("7" * 5000, too_long),
+                  ("aleph" + "7" * 5000, too_long),
+                  ("beth(" + "7" * 5000 + ")", too_long)]
+    for text, message in cases:
         with pytest.raises(CardinalError) as exc:
             parse_cardinal(text)
         assert str(exc.value) == message
     assert parse_cardinal("aleph²") == Var("aleph²")
     assert parse_cardinal("aleph٣") == Var("aleph٣")
-    assert parse_cardinal("aleph" + "7" * limit) == Aleph(int("7" * limit))
+    if limit:
+        assert parse_cardinal("aleph" + "7" * limit) == Aleph(int("7" * limit))
 
 
 def test_normalize_rules():

@@ -80,9 +80,11 @@ _SNF_SUBSETS = [set(c) for k in range(3)
 def test_snf_builds_only_the_named_transforms(A):
     """Every subset of the transforms gives the full call's S and the full
     call's value of each transform it names, None for the others and for U;
-    the full call, carrying the identity, has U·A·V = S and V·V⁻¹ = I.
-    U is not a transform: it is only ever carried."""
-    U, S, V, Vi = full = smith_normal_form(A, carry=identity_matrix(len(A)))
+    carrying the identity, it gives the full call's U besides.  The full
+    call, carrying the identity, has U·A·V = S and V·V⁻¹ = I.  U is not a
+    transform: it is only ever carried."""
+    identity = identity_matrix(len(A))
+    U, S, V, Vi = full = smith_normal_form(A, carry=identity)
     assert mat_mul(mat_mul(U, A), V) == S
     assert mat_mul(V, Vi) == identity_matrix(len(V))
     for names in _SNF_SUBSETS:
@@ -90,6 +92,8 @@ def test_snf_builds_only_the_named_transforms(A):
         assert part[0] is None and part[1] == S
         for k, name in ((2, "V"), (3, "Vinv")):
             assert part[k] == (full[k] if name in names else None), names
+        carried = smith_normal_form(A, names, carry=identity)
+        assert carried[0] == U and carried[1:] == part[1:], names
     for names in (("V", "W"), ("U",), ("U", "V")):
         with pytest.raises(ValueError, match="unknown"):
             smith_normal_form(A, names)
