@@ -17,6 +17,7 @@ from .intlinalg import (
     hermite_row_basis,
     identity_matrix,
     in_lattice,
+    lattice_coords,
     lattice_intersection,
     mat_mul,
     pivot_product,
@@ -165,9 +166,6 @@ class FgGroup:
         return [[1 if j == i else 0 for j in range(g)]
                 for i, m in enumerate(self.moduli) if m != 0]
 
-    def subgroup(self, gens) -> "Subgroup":
-        return Subgroup.from_generators(self, gens)
-
     def full_subgroup(self) -> "Subgroup":
         if self._full is None:
             g = self.rank
@@ -297,7 +295,11 @@ class Subgroup:
                     raise GroupError(f"entry {row[k]} of row {j} is not "
                                      f"reduced modulo pivot {pivots[k]}")
             s = moduli[j] // pivots[j]
-            if not _in_span_below([s * x for x in row], B[j + 1:], moduli):
+            # m_j·e_j is in the lattice iff s·row_j − m_j·e_j is in the
+            # lattice of the rows below
+            v = [s * x for x in row]
+            v[j] = 0
+            if not in_lattice(B[j + 1:], v):
                 raise GroupError(
                     f"{moduli[j]}·e_{j} is not in the lattice of the rows")
         H = cls.__new__(cls)
@@ -381,50 +383,31 @@ class Subgroup:
         """(H as an abstract FgGroup, rows = ambient coords of its generators).
 
         H = L/R, so relative to the basis rows of L its relations are the
-        coordinates in L of each row m_i·e_i of R.  L is an echelon HNF that
-        contains R, so each column i with m_i ≠ 0 is one of its pivot
-        columns, with pivot d_i | m_i: those coordinates are zero before
-        that row of L and m_i/d_i at it, and the rest comes from one
-        back-substitution through the later rows of L, at their pivot
-        columns.  The coordinate rows
-        are thus echelon with positive leading entries, so their HNF needs
-        only the entries above its pivots reduced.
+        coordinates in L of each row m_i·e_i of R, in column order
+        (intlinalg.lattice_coords).  L is an echelon HNF that contains R, so
+        each column i with m_i ≠ 0 is one of its pivot columns, with pivot
+        d_i | m_i: those coordinates are zero before that row of L and
+        m_i/d_i at it.  The coordinate rows are thus echelon with positive
+        leading entries, so their HNF needs only the entries above its
+        pivots reduced.
         """
         L = self.basis
         if not L:
             return FgGroup(()), []
         moduli = self.ambient.moduli
-        g, n = len(moduli), len(L)
-        pivots = []
-        c = 0
-        for row in L:
-            while not row[c]:  # pivot columns increase down the rows
-                c += 1
-            pivots.append(c)
+        g = len(moduli)
         rel = []
-        for s, i in enumerate(pivots):
-            m = moduli[i]
-            if not m:
-                continue
-            # columns c, … of m·e_i minus the rows of L taken before the
-            # row with pivot column c; the columns before c are done
-            rest = [0] * g
-            rest[i] = m
-            coords = [0] * n
-            for t in range(s, n):
-                c = pivots[t]
-                if rest[c]:
-                    row = L[t]
-                    q, r = divmod(rest[c], row[c])
-                    if r:
-                        raise GroupError(
-                            "relation row outside the subgroup lattice")
-                    coords[t] = q
-                    for k in range(c + 1, g):
-                        rest[k] -= q * row[k]
-            rel.append(coords)
+        for i, m in enumerate(moduli):
+            if m:
+                e = [0] * g
+                e[i] = m
+                coords = lattice_coords(L, e)
+                if coords is None:
+                    raise GroupError(
+                        "relation row outside the subgroup lattice")
+                rel.append(coords)
         reduce_above_pivots(rel)
-        grp, gens = _group_from_lattice(n, rel)
+        grp, gens = _group_from_lattice(len(L), rel)
         return grp, mat_mul(gens, L)
 
     def as_group(self) -> FgGroup:
@@ -610,28 +593,6 @@ def abelian_groups_upto(n: int) -> list[FgGroup]:
     return [G for k in range(1, n + 1) for G in abelian_groups_of_order(k)]
 
 
-def _in_span_below(v, rows, moduli) -> bool:
-    """Whether v lies in the span of rows, the last len(rows) rows of a
-    square HNF over moduli that contain m_k·e_k for each of their pivot
-    columns k; entries of v left of the first of those columns are ignored.
-
-    One echelon pass: column k is reduced mod m_k, then cleared by a
-    multiple of its pivot row when the pivot divides it.
-    """
-    v = list(v)
-    n = len(moduli)
-    for k, row in enumerate(rows, n - len(rows)):
-        a = v[k] % moduli[k]
-        if a:
-            d = row[k]
-            if a % d:
-                return False
-            q = a // d
-            for l in range(k + 1, n):
-                v[l] -= q * row[l]
-    return True
-
-
 # all_subgroups lists the square HNFs that contain diag(m): (Z/2)^6, the
 # order-64 group with the most subgroups (2,825), takes about 0.1 s.  Larger
 # groups are refused.
@@ -665,8 +626,8 @@ def all_subgroups(M: FgGroup) -> list[Subgroup]:
                 *(range(row[k]) for k, row in enumerate(low, j + 1))))
             for d in (d for d in range(1, m + 1) if m % d == 0):
                 for t in tails:
-                    v = (0,) * (j + 1) + tuple(m // d * x for x in t)
-                    if _in_span_below(v, low, moduli):
+                    v = [0] * (j + 1) + [m // d * x for x in t]
+                    if in_lattice(low, v):
                         grown.append(((0,) * j + (d,) + t,) + low)
         forms = grown
     subs = [Subgroup._from_hnf(M, B) for B in forms]

@@ -271,19 +271,34 @@ def pivot_product(basis) -> int:
 
 
 def lattice_coords(basis: list[list[int]], v) -> list[int] | None:
-    """Coefficients expressing v in an echelon (HNF) basis, or None."""
-    v = list(map(int, v))
+    """Coefficients c with c·basis = v for an echelon (HNF) basis and a
+    vector v of ints, or None.
+
+    The one walk down an echelon basis: v is copied once, and at each row's
+    pivot column j the quotient q is taken and q·row subtracted in place from
+    column j + 1 on, skipping zero entries of the row.
+    """
+    v = list(v)
+    n = len(v)
     coeffs = []
     j = 0
     for row in basis:
         while not row[j]:  # pivot columns increase down the rows
             j += 1
-        if v[j] % row[j]:
+        a = v[j]
+        if not a:
+            coeffs.append(0)
+            continue
+        d = row[j]
+        if a % d:
             return None
-        q = v[j] // row[j]
+        q = a // d
         coeffs.append(q)
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
+        v[j] = 0
+        for k in range(j + 1, n):
+            b = row[k]
+            if b:
+                v[k] -= q * b
     if any(v):
         return None
     return coeffs

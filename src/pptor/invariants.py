@@ -4,10 +4,10 @@ limit-model decompositions.
 α_{p,n} = dim_{F_p}((p^{n−1}G)[p] / (p^nG)[p]) is read off the moduli: for
 G = ⊕ ℤ/m_j it is the number of j with v_p(m_j) = n.  γ_p (divisible part)
 is zero for finite groups.
-Symbolic groups are formal ⊕-sums of atoms Z(p^n), Z(p^inf), p-adic and
-rational summands with cardinal multiplicities, plus the wrappers t(·),
-PE(·), Prod_p(·), Sum_p(·), Sum_n(·) and ·^(card) used by the §-5-style
-decompositions; rendering is canonical so golden tests are byte-exact.
+The limit-model templates are texts: ⊕-sums of the atoms Z(p^n) and
+Z(p^inf) with cardinal powers ·^(card) under the wrappers t(·), PE(·),
+Prod_p(·), Sum_p(·) and Sum_n(·) of the §-5-style decompositions, written
+canonically so golden tests are byte-exact.
 """
 
 from __future__ import annotations
@@ -70,97 +70,11 @@ def reconstruct(inv: UlmInvariants) -> FgGroup:
 
 
 # ---------------------------------------------------------------------------
-# symbolic groups
-
-
-@dataclass(frozen=True)
-class Cyclic:
-    p: object  # prime or the symbol "p"
-    n: object  # positive integer or the symbol "n"
-
-    def render(self) -> str:
-        return f"Z({self.p}^{self.n})"
-
-
-@dataclass(frozen=True)
-class Prufer:
-    p: object
-
-    def render(self) -> str:
-        return f"Z({self.p}^inf)"
-
-
-@dataclass(frozen=True)
-class DirectPower:
-    body: object
-    card: object  # cardinals.CardinalExpr
-
-    def render(self) -> str:
-        return f"{self.body.render()}^({C.card_str(self.card)})"
-
-
-@dataclass(frozen=True)
-class TorsionOf:
-    body: object
-
-    def render(self) -> str:
-        return f"t({self.body.render()})"
-
-
-@dataclass(frozen=True)
-class PEOf:
-    body: object
-
-    def render(self) -> str:
-        return f"PE({self.body.render()})"
-
-
-@dataclass(frozen=True)
-class ProductOverPrimes:
-    body: object  # body uses the symbol "p"
-
-    def render(self) -> str:
-        return f"Prod_p({self.body.render()})"
-
-
-@dataclass(frozen=True)
-class SumOverPrimes:
-    body: object
-
-    def render(self) -> str:
-        return f"Sum_p({self.body.render()})"
-
-
-@dataclass(frozen=True)
-class SumOverN:
-    body: object  # body uses the symbol "n"
-
-    def render(self) -> str:
-        return f"Sum_n({self.body.render()})"
-
-
-@dataclass(frozen=True)
-class SymbolicGroup:
-    """Formal direct sum; summands render left to right joined by ⊕."""
-
-    summands: tuple
-
-    def render(self) -> str:
-        if not self.summands:
-            return "0"
-        return " ⊕ ".join(s.render() for s in self.summands)
-
-    def __str__(self):
-        return self.render()
-
-
-# ---------------------------------------------------------------------------
 # limit-model templates
 
 
 @dataclass(frozen=True)
 class LimitModelTemplate:
-    group: SymbolicGroup
     text: str
     warning: str | None = None
 
@@ -189,18 +103,16 @@ def limit_model_template(lam, cof_class: str, variant="Tor") -> LimitModelTempla
             f"stability of {C.card_str(lam)} is not decided by the rule "
             f"system ({reason}); the template is conditional on λ^ℵ₀ = λ"
         )
+    power = f"^({C.card_str(lam)})"
     if variant == "Tor":
-        core = TorsionOf(
-            ProductOverPrimes(PEOf(SumOverN(DirectPower(Cyclic("p", "n"), lam))))
-        )
-        tail = SumOverPrimes(DirectPower(Prufer("p"), lam))
+        core = f"t(Prod_p(PE(Sum_n(Z(p^n){power}))))"
+        tail = f"Sum_p(Z(p^inf){power})"
     else:
         p = variant
         if not isinstance(p, int) or p < 2:
             raise GroupError(f"variant must be 'Tor' or a prime, got {variant!r}")
-        core = TorsionOf(PEOf(SumOverN(DirectPower(Cyclic(p, "n"), lam))))
-        tail = DirectPower(Prufer(p), lam)
+        core = f"t(PE(Sum_n(Z({p}^n){power})))"
+        tail = f"Z({p}^inf){power}"
     if cof_class == "w":
-        core = DirectPower(core, C.ALEPH0)
-    grp = SymbolicGroup((core, tail))
-    return LimitModelTemplate(grp, grp.render(), warning)
+        core += f"^({C.card_str(C.ALEPH0)})"
+    return LimitModelTemplate(f"{core} ⊕ {tail}", warning)

@@ -32,7 +32,7 @@ from pptor.groups import (
     parse_group,
     quotient,
 )
-from pptor.intlinalg import lattice_coords, smith_normal_form
+from pptor.intlinalg import hermite_row_basis, lattice_coords, smith_normal_form
 
 
 def test_invariant_factors():
@@ -415,6 +415,31 @@ def test_from_hnf_checks_its_basis():
         Subgroup._from_hnf(FgGroup((2, 2)), [[2, 1], [0, 2]])
     with pytest.raises(GroupError, match="infinite"):
         Subgroup._from_hnf(FgGroup((0,)), [[1]])
+
+
+def test_from_hnf_accepts_exactly_the_hermite_forms():
+    """Every basis entry of every subgroup of every group of order ≤ 32,
+    moved by ±1: _from_hnf accepts the result exactly when it is the HNF of
+    its own rows over the ambient's moduli, and refuses it by a GroupError
+    otherwise."""
+    subgroups = accepted = 0
+    for M in abelian_groups_upto(32):
+        for H in all_subgroups(M):
+            subgroups += 1
+            for i, j, delta in itertools.product(
+                    range(M.rank), range(M.rank), (1, -1)):
+                B = [list(row) for row in H.basis]
+                B[i][j] += delta
+                hermite = hermite_row_basis(B, M.moduli) == B
+                try:
+                    K = Subgroup._from_hnf(M, B)
+                except GroupError:
+                    assert not hermite, (M.moduli, B)
+                else:
+                    assert hermite, (M.moduli, B)
+                    assert K == Subgroup(M, B)
+                    accepted += 1
+    assert (subgroups, accepted) == (1030, 4170)
 
 
 def test_is_isomorphic():

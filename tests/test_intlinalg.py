@@ -151,6 +151,39 @@ def test_lattice_coords_and_reduce():
     assert lattice_coords(H, [1, 0]) is None
 
 
+def test_lattice_coords_matches_hermite_membership():
+    """On HNF bases over random moduli (0 marking a free column),
+    lattice_coords(B, v) is None exactly when adding v changes the HNF of
+    B's rows; otherwise its coefficients c give c·B = v.  The caller's v is
+    left as it was."""
+    rng = random.Random(2424)
+    found = missed = 0
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        moduli = [rng.choice((0, 0, 1, 2, 3, 4, 6, 8, 9, 12)) for _ in range(n)]
+        B = hermite_row_basis(rand_matrix(rng, rng.randint(0, 4), n), moduli)
+        free = (0,) * n
+        assert hermite_row_basis(B, free) == B
+        for _ in range(4):
+            if B and rng.random() < 0.5:
+                v = [sum(rng.randint(-3, 3) * row[k] for row in B)
+                     for k in range(n)]
+            else:
+                v = [rng.randint(-12, 12) for _ in range(n)]
+            given = list(v)
+            c = lattice_coords(B, v)
+            assert v == given
+            assert (c is None) == (hermite_row_basis(B + [v], free) != B)
+            if c is None:
+                missed += 1
+            else:
+                found += 1
+                assert len(c) == len(B)
+                assert [sum(a * row[k] for a, row in zip(c, B))
+                        for k in range(n)] == v
+    assert (found, missed) == (1389, 1011)
+
+
 def test_kernel_and_solve():
     rng = random.Random(3)
     for _ in range(150):

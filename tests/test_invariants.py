@@ -72,16 +72,6 @@ def test_ulm_rejects_infinite_group():
         invariants.ulm_invariants(FgGroup((0, 2)))
 
 
-def test_symbolic_rendering():
-    assert invariants.Cyclic(2, 3).render() == "Z(2^3)"
-    assert invariants.Prufer(5).render() == "Z(5^inf)"
-    assert invariants.DirectPower(invariants.Prufer(2), C.ALEPH0).render() == \
-        "Z(2^inf)^(aleph0)"
-    s = invariants.SumOverN(invariants.DirectPower(
-        invariants.Cyclic("p", "n"), C.Var("λ")))
-    assert s.render() == "Sum_n(Z(p^n)^(λ))"
-
-
 def test_limit_model_tor_w1():
     tpl = invariants.limit_model_template(C.Var("λ"), "w1", "Tor")
     assert tpl.text == \
