@@ -7,6 +7,7 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import random
+from math import gcd
 
 from .formulas import Equation, PpFormula, is_low
 from .groups import Element, FgGroup, Homomorphism, Subgroup
@@ -69,10 +70,11 @@ def random_subgroup(rng: random.Random, M: FgGroup, max_gens: int = 3) -> Subgro
 
 
 def random_homomorphism(rng: random.Random, M: FgGroup, N: FgGroup) -> Homomorphism:
-    """A random homomorphism M → N: generator i maps into N[d_i]."""
+    """A random homomorphism M → N: generator i maps into N[d_i], which is
+    ⟨(t_j/gcd(t_j, d_i))·e_j⟩ for the moduli t_j of N, all of N for d_i = 0."""
     rows = []
     for d in M.moduli:
-        H = Subgroup(N, N.annihilator_lattice(d))
+        H = N.diagonal_subgroup([t // gcd(t, d) if d else 1 for t in N.moduli])
         # random lattice point of the annihilator, reduced into the group
         combo = [rng.randint(-5, 5) for _ in H.basis]
         coords = [

@@ -143,41 +143,28 @@ class FgGroup:
             raise GroupError("cannot enumerate an infinite group")
         return itertools.product(*(range(m) for m in self.moduli))
 
-    def annihilator_lattice(self, n: int) -> list[list[int]]:
-        """HNF basis of {x ∈ ℤ^g : n·x ∈ relation lattice} (coords of M[n]):
-        a multiple of e_i per coordinate, so already in Hermite form."""
+    def diagonal_subgroup(self, entries) -> "Subgroup":
+        """⟨d_j·e_j⟩, one entry d_j per coordinate, built from its known
+        HNF: the row gcd(d_j, m_j)·e_j for each coordinate, none where that
+        gcd is 0.  On ℤ/m_j, d_j = 0 gives m_j·e_j; on ℤ the gcd is |d_j|."""
+        if len(entries) != self.rank:
+            raise GroupError(f"expected {self.rank} diagonal entries, "
+                             f"got {len(entries)}")
         g = self.rank
-        rows = []
-        for i, m in enumerate(self.moduli):
-            # n·x_i ≡ 0 (mod m) ⟺ x_i ≡ 0 (mod m/gcd(m,n)); on a free
-            # coordinate n·x_i = 0 forces x_i = 0 unless n = 0
-            if m == 0:
-                if n == 0:
-                    rows.append([1 if j == i else 0 for j in range(g)])
-                continue
-            step = m // gcd(m, n) if n else 1
-            rows.append([step if j == i else 0 for j in range(g)])
-        return rows
-
-    def torsion_lattice(self) -> list[list[int]]:
-        """HNF basis of the coordinate lattice of t(M): the unit vectors of
-        the coordinates ℤ/m, already in Hermite form."""
-        g = self.rank
-        return [[1 if j == i else 0 for j in range(g)]
-                for i, m in enumerate(self.moduli) if m != 0]
+        basis = []
+        for j, (d, m) in enumerate(zip(entries, self.moduli)):
+            d = gcd(d, m)
+            if d:
+                basis.append((0,) * j + (d,) + (0,) * (g - j - 1))
+        return Subgroup._from_hnf(self, basis)
 
     def full_subgroup(self) -> "Subgroup":
         if self._full is None:
-            g = self.rank
-            identity = [[1 if j == i else 0 for j in range(g)]
-                        for i in range(g)]
-            # in a finite ambient the identity is already the square HNF
-            self._full = (Subgroup._from_hnf(self, identity) if self.is_finite
-                          else Subgroup(self, identity))
+            self._full = self.diagonal_subgroup([1] * self.rank)
         return self._full
 
     def zero_subgroup(self) -> "Subgroup":
-        return Subgroup(self, [])
+        return self.diagonal_subgroup([0] * self.rank)
 
     def __eq__(self, other):
         return isinstance(other, FgGroup) and self.moduli == other.moduli
@@ -247,9 +234,10 @@ class Subgroup:
 
     The basis is the HNF of the generator rows together with R, the rows
     m_j·e_j of the nonzero moduli: one hermite_row_basis over the ambient's
-    moduli, with entries reduced modulo m_j on each ℤ/m_j coordinate.  In a
-    finite ambient it is square (or checked by _from_hnf when it is already
-    known).  Orders and indices are read off the pivots of the HNFs
+    moduli, with entries reduced modulo m_j on each ℤ/m_j coordinate.  Where
+    that HNF is already known (diagonal subgroups, intersections, evaluate,
+    all_subgroups), _from_hnf checks it instead, in any ambient.  Orders
+    and indices are read off the pivots of the HNFs
     (intlinalg.pivot_product).
     """
 
@@ -263,45 +251,62 @@ class Subgroup:
 
     @classmethod
     def _from_hnf(cls, ambient: FgGroup, basis) -> "Subgroup":
-        """The subgroup of a finite ambient whose canonical basis, the square
-        HNF B (rows of ints) of a lattice containing diag(m), is known.
+        """The subgroup whose canonical basis B, the HNF (rows of ints) of a
+        lattice that contains m_j·e_j for each nonzero modulus, is known.
 
-        B is checked instead of recomputed: square and upper triangular,
-        each pivot d_j ≥ 1 dividing m_j, each entry above it in [0, d_j),
-        and m_j·e_j in the span of rows j, j+1, ...; that last check runs
-        from the bottom row up, so the rows below already contain their
-        part of diag(m).
+        B is checked instead of recomputed: its rows are echelon with
+        positive pivots; each column ℤ/m_j is a pivot column whose pivot
+        divides m_j, while a column ℤ takes any pivot or none (its entries
+        are then free); each entry above a pivot d lies in [0, d); and
+        m_j·e_j lies in the lattice of the rows from its pivot row down.
+        That last check runs from the bottom row up, so the rows below
+        already contain their part of the relations.  These are exactly the
+        B with hermite_row_basis(B, moduli) == B (Cohen, GTM 138, §2.4).
         """
-        if not ambient.is_finite:
-            raise GroupError(f"no square Hermite basis in infinite {ambient}")
         moduli = ambient.moduli
         n = len(moduli)
         B = tuple(map(tuple, basis))
-        if len(B) != n or any(len(row) != n for row in B):
-            raise GroupError(f"a Hermite basis in {ambient} is {n} × {n}")
-        pivots = [row[j] for j, row in enumerate(B)]
-        for j, (row, d, m) in enumerate(zip(B, pivots, moduli)):
-            if any(row[:j]):
-                raise GroupError(f"row {j} has an entry left of its pivot")
-            if d < 1 or m % d:
+        cols = []  # the pivot column of each row
+        j = 0
+        for i, row in enumerate(B):
+            if len(row) != n:
                 raise GroupError(
-                    f"pivot {d} in column {j} does not divide its modulus {m}")
-        for j in reversed(range(n)):
-            row = B[j]
+                    f"row {i} of a Hermite basis in {ambient} needs {n} entries")
+            if any(row[:j]):
+                raise GroupError(f"row {i} has an entry left of its pivot")
+            while j < n and not row[j] and not moduli[j]:
+                j += 1  # a column ℤ without a pivot
+            if j == n:
+                raise GroupError(f"row {i} is zero")
+            d = row[j]
+            if not d:
+                break  # a column ℤ/m without a pivot
+            if d < 0 or moduli[j] % d:
+                raise GroupError(f"pivot {d} in column {j} is not a positive "
+                                 f"divisor of its modulus {moduli[j]}")
+            cols.append(j)
+            j += 1
+        missing = next((k for k in range(j, n) if moduli[k]), None)
+        if missing is not None:
+            raise GroupError(f"column {missing} of modulus {moduli[missing]} "
+                             f"has no pivot")
+        for i in reversed(range(len(B))):
+            row, j = B[i], cols[i]
             if not any(row[j + 1:]):
                 continue
-            for k in range(j + 1, n):
-                if not 0 <= row[k] < pivots[k]:
-                    raise GroupError(f"entry {row[k]} of row {j} is not "
-                                     f"reduced modulo pivot {pivots[k]}")
-            s = moduli[j] // pivots[j]
-            # m_j·e_j is in the lattice iff s·row_j − m_j·e_j is in the
-            # lattice of the rows below
-            v = [s * x for x in row]
-            v[j] = 0
-            if not in_lattice(B[j + 1:], v):
-                raise GroupError(
-                    f"{moduli[j]}·e_{j} is not in the lattice of the rows")
+            for below, k in zip(B[i + 1:], cols[i + 1:]):
+                if not 0 <= row[k] < below[k]:
+                    raise GroupError(f"entry {row[k]} of row {i} is not "
+                                     f"reduced modulo pivot {below[k]}")
+            s = moduli[j] // row[j]
+            if s:
+                # m_j·e_j is in the lattice iff s·row − m_j·e_j is in the
+                # lattice of the rows below
+                v = [s * x for x in row]
+                v[j] = 0
+                if not in_lattice(B[i + 1:], v):
+                    raise GroupError(
+                        f"{moduli[j]}·e_{j} is not in the lattice of the rows")
         H = cls.__new__(cls)
         H.ambient = ambient
         H.basis = B
@@ -359,7 +364,8 @@ class Subgroup:
     def intersection(self, other: "Subgroup") -> "Subgroup":
         if self.ambient != other.ambient:
             raise GroupError("subgroups of different groups")
-        return Subgroup(self.ambient, lattice_intersection(
+        # lattice_intersection's rows already are the HNF over the moduli
+        return Subgroup._from_hnf(self.ambient, lattice_intersection(
             self.basis, other.basis, self.ambient.moduli))
 
     def index_in(self, other: "Subgroup"):

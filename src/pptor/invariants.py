@@ -109,7 +109,7 @@ def limit_model_template(lam, cof_class: str, variant="Tor") -> LimitModelTempla
         tail = f"Sum_p(Z(p^inf){power})"
     else:
         p = variant
-        if not isinstance(p, int) or p < 2:
+        if not isinstance(p, int) or p < 2 or factorize(p) != {p: 1}:
             raise GroupError(f"variant must be 'Tor' or a prime, got {variant!r}")
         core = f"t(PE(Sum_n(Z({p}^n){power})))"
         tail = f"Z({p}^inf){power}"

@@ -13,7 +13,9 @@ _cyclic_solutions solves one modulus on a table of m^neq flags instead of
 rows depend only on (C, D, m), so they are cached across calls and shared
 by every group with a factor ℤ/m.  brute_force_codes reweights each
 factor's rows to mixed-radix codes of M with one product, and combines the
-factors by a Cartesian sum.  Everything runs in numpy.
+factors by a Cartesian sum.  Everything runs in numpy.  The oracle answers
+in those codes (encode_assignment gives the code of an assignment) and
+decodes none of them.
 """
 
 from __future__ import annotations
@@ -42,13 +44,6 @@ def _check_sizes(order, neq, nfree, nbound):
             raise EnumerationLimit(
                 f"brute-force table too large: {order}^{power}"
             )
-
-
-def _element_table(moduli: list[int], order: int) -> np.ndarray:
-    """(order, rank) array of all element coordinate vectors, index order
-    matching mixed-radix encoding with the first coordinate fastest."""
-    grid = np.indices(moduli[::-1], dtype=np.int64)
-    return grid.reshape(len(moduli), order)[::-1].T
 
 
 @functools.lru_cache(maxsize=4096)
@@ -98,19 +93,6 @@ def _cyclic_solutions(C, D, m: int) -> np.ndarray:
     return rows
 
 
-def brute_force_solutions(C, D, moduli) -> list[tuple[tuple[int, ...], ...]]:
-    """All free-variable assignments satisfying C·x̄ + D·ȳ = 0 in ⊕ℤ/m_c.
-
-    Returns, in deterministic order, tuples of element coordinate vectors
-    (one per free variable).  Requires every modulus ≥ 1 (finite group).
-    Decodes the codes of brute_force_codes through a table of all |M|
-    elements, built here because no other caller reads it.
-    """
-    sols, nfree, order = brute_force_codes(C, D, moduli)
-    elem = _element_table([int(m) for m in moduli], order)
-    return _decode_assignments(sols, elem, nfree, order)
-
-
 def encode_assignment(assign, moduli) -> int:
     """Mixed-radix code of a free-variable assignment (tuple of coordinate
     tuples), matching the code order of brute_force_codes."""
@@ -127,8 +109,8 @@ def encode_assignment(assign, moduli) -> int:
 
 
 def brute_force_codes(C, D, moduli):
-    """Like brute_force_solutions but stops at the encoded solution array,
-    so it builds no element table.
+    """All free-variable assignments satisfying C·x̄ + D·ȳ = 0 in ⊕ℤ/m_c,
+    as codes; every modulus must be ≥ 1 (finite group).
 
     Returns (sols, nfree, order): sols is a strictly ascending int64
     array of mixed-radix codes (encode_assignment) of the solution
@@ -165,17 +147,6 @@ def brute_force_codes(C, D, moduli):
         stride *= m
     sols.sort()
     return sols.astype(np.int64), nfree, order
-
-
-def _decode_assignments(sols, elem, nfree, order):
-    out = []
-    for s in sols.tolist():
-        assign = []
-        for _ in range(nfree):
-            assign.append(tuple(int(v) for v in elem[s % order]))
-            s //= order
-        out.append(tuple(assign))
-    return out
 
 
 def using_numba() -> bool:

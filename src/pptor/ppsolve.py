@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import inf
 
 from .formulas import PpFormula, normalize
 from .groups import (
@@ -31,7 +32,12 @@ from .groups import (
     direct_sum,
     factorize,
 )
-from .intlinalg import congruence_lattice, in_lattice, solve_congruence_columns
+from .intlinalg import (
+    congruence_lattice,
+    in_lattice,
+    pivot_product,
+    solve_congruence_columns,
+)
 
 
 class PpSolveError(ValueError):
@@ -43,13 +49,15 @@ class PpSolveError(ValueError):
 
 @lru_cache(maxsize=4096)
 def _coordinate_lattice(C, D, m: int):
-    """HNF basis (in ℤ^nfree) of the solutions of C·x + D·y ≡ 0 mod m.
+    """HNF basis (in ℤ^nfree) of the solutions of C·x + D·y ≡ 0 mod m, as
+    (pivot column, row) pairs.
 
     m = 0 means the coordinate is a copy of ℤ.
     """
     nfree = len(C[0]) if C else 0
     rows = congruence_lattice([c + d for c, d in zip(C, D)], [m] * len(C), nfree)
-    return tuple(tuple(r) for r in rows)
+    return tuple((next(i for i, v in enumerate(r) if v), tuple(r))
+                 for r in rows)
 
 
 def power_group(M: FgGroup, n: int) -> FgGroup:
@@ -65,23 +73,19 @@ def evaluate(f: PpFormula, M: FgGroup) -> Subgroup:
             f"rank {n}·{M.rank} = {n * M.rank} of M^{n} exceeds the limit "
             f"{MAX_RANK}")
     mf = normalize(f)
-    P = power_group(M, n)
     rank = M.rank
-    rows = []
-    for c in range(rank):
-        lat = _coordinate_lattice(mf.C, mf.D, M.moduli[c])
-        for r in lat:
+    # Block c is the HNF of the coordinate lattice placed on the columns
+    # i·rank + c, which no other block touches: a row with its pivot at i
+    # in the block has it at i·rank + c and stays reduced, so the blocks'
+    # rows in pivot-column order are the HNF of φ[M].
+    placed = [None] * (n * rank)
+    for c, m in enumerate(M.moduli):
+        for pivot, r in _coordinate_lattice(mf.C, mf.D, m):
             row = [0] * (n * rank)
-            for i, v in enumerate(r):
-                row[i * rank + c] = v
-            rows.append(row)
-    if not M.is_finite:
-        return Subgroup(P, rows)
-    # Block c is an n × n HNF placed on the columns i·rank + c, which no
-    # other block touches, so its row i has its pivot at i·rank + c and
-    # stays reduced; in pivot order the blocks' rows are the HNF of φ[M].
-    return Subgroup._from_hnf(
-        P, [rows[c * n + i] for i in range(n) for c in range(rank)])
+            row[c::rank] = r
+            placed[pivot * rank + c] = row
+    return Subgroup._from_hnf(power_group(M, n),
+                              [row for row in placed if row is not None])
 
 
 @dataclass
@@ -100,9 +104,12 @@ def index(f: PpFormula, g: PpFormula, M: FgGroup):
     Sg = evaluate(g, M)
     for r in Sg.basis:
         if not in_lattice(Sf.basis, r):
-            wit = Sf.ambient.element(r)
-            raise InclusionFailure(tuple(wit.coords))
-    return Sg.index_in(Sf)
+            raise InclusionFailure(Sf.ambient.element(r).coords)
+    # g[M] ⊆ f[M] is now known, so the index is read off the pivots as in
+    # Subgroup.index_in, without walking the rows a second time
+    if len(Sg.basis) != len(Sf.basis):
+        return inf
+    return pivot_product(Sg.basis) // pivot_product(Sf.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +383,7 @@ def count_types(M: FgGroup, bound: int, use_oracle: bool = False) -> int:
         units = iter([[int(i == j) for j in range(N.rank)]
                       for i in range(len(factors))])
         emb = [next(units) if d != 1 else [0] * N.rank for d in M.moduli]
-        S = Subgroup(N, emb)
+        S = N.diagonal_subgroup([1] * len(factors) + [0] * C.rank)
         for a in N.elements():
             d = pp_type_descriptor(a, S, N, check_purity=False,
                                    identification=(M, emb))

@@ -58,12 +58,6 @@ from .intlinalg import hermite_row_basis, in_lattice, pivot_product
 from .intlinalg import kernel_basis  # noqa: F401
 
 
-def _diagonal(entries) -> list[list[int]]:
-    g = len(entries)
-    return [[d if j == i else 0 for j in range(g)]
-            for i, d in enumerate(entries)]
-
-
 def _prime_powers(moduli, with_top: bool) -> list[int]:
     """The prime powers p^k > 1 dividing e, the lcm of the nonzero moduli,
     ascending; each prime's top power p^{v_p(e)} only when `with_top`.  Each
@@ -103,8 +97,8 @@ def _pure_at(n: int, H: Subgroup, M: FgGroup) -> bool:
 
 
 def _meet_and_multiple(n: int, H: Subgroup, M: FgGroup):
-    """(n·M ∩ H, n·H); n·M is diag(gcd(n, m_j)), with n on a ℤ coordinate."""
-    nM = Subgroup(M, _diagonal([gcd(n, m) for m in M.moduli]))
+    """(n·M ∩ H, n·H); n·M is ⟨n·e_j⟩."""
+    nM = M.diagonal_subgroup([n] * M.rank)
     return nM.intersection(H), Subgroup(M, [[n * v for v in row]
                                             for row in H.basis])
 
@@ -165,7 +159,7 @@ def _retraction(H: Subgroup, M: FgGroup):
 def torsion_radical(M: FgGroup) -> Subgroup:
     """t(M): the elements of finite order (= union of ψ[M], ψ low), spanned
     by the unit vectors of the coordinates ℤ/m."""
-    return Subgroup(M, M.torsion_lattice())
+    return M.diagonal_subgroup([1 if m else 0 for m in M.moduli])
 
 
 def primary_component(M: FgGroup, p: int) -> Subgroup:
@@ -174,14 +168,13 @@ def primary_component(M: FgGroup, p: int) -> Subgroup:
         raise GroupError(f"{p} is not prime")
     if any(m == 0 for m in M.moduli):
         raise GroupError("primary components require a torsion group")
-    # diag(q_j), q_j = m_j with its p-part divided out, divides diag(m)
-    # and so is its own square HNF
+    # ⟨q_j·e_j⟩, q_j = m_j with its p-part divided out
     parts = []
     for m in M.moduli:
         while m % p == 0:
             m //= p
         parts.append(m)
-    return Subgroup._from_hnf(M, _diagonal(parts))
+    return M.diagonal_subgroup(parts)
 
 
 def complement(H: Subgroup, M: FgGroup):

@@ -12,11 +12,17 @@ its definition (`trimmed_by_definition`).
 
 `witness_b_elements` is the one route here with no library counterpart:
 it finds the proof's elements b_n of the witness chain by enumeration.
+`brute_force_solutions` decodes the oracle's solution codes
+(`kernels.brute_force_codes`) into tuples of element coordinates, which the
+oracle itself never needs.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import gcd
+
+import numpy as np
 
 from pptor.chains import witness_chain
 from pptor.formulas import Equation, MatrixForm, PpFormula
@@ -34,6 +40,7 @@ from pptor.intlinalg import (
     smith_normal_form,
 )
 from pptor.invariants import UlmInvariants
+from pptor.kernels import brute_force_codes
 from pptor.ppsolve import evaluate
 from pptor.purity import _retraction
 
@@ -179,10 +186,9 @@ def enumerate_homs(source: FgGroup, target: FgGroup):
         raise GroupError("hom enumeration requires finite groups")
     cand = []
     for d in source.moduli:
-        ann = target.annihilator_lattice(d)
         opts = []
         seen = set()
-        H = Subgroup(target, ann)
+        H = target.diagonal_subgroup([t // gcd(t, d) for t in target.moduli])
         for e in H.elements():
             if e.coords not in seen:
                 seen.add(e.coords)
@@ -207,7 +213,7 @@ def ulm_invariants(G: FgGroup) -> UlmInvariants:
     alpha: dict = {}
     full = G.full_subgroup()
     for p, K in factorize(G.exponent()).items():
-        socle = Subgroup(G, G.annihilator_lattice(p))
+        socle = G.diagonal_subgroup([m // gcd(m, p) for m in G.moduli])
         for n in range(1, K + 1):
             upper = _scaled(G, full, p ** (n - 1)).intersection(socle)
             lower = _scaled(G, full, p ** n).intersection(socle)
@@ -248,3 +254,34 @@ def witness_b_elements(p: int, M0: int) -> list[Element]:
     for n in range(1, M0 + 1):
         out.append(out[-1] + a[n - 1])
     return out
+
+
+def brute_force_solutions(C, D, moduli) -> list[tuple[tuple[int, ...], ...]]:
+    """All free-variable assignments satisfying C·x̄ + D·ȳ = 0 in ⊕ℤ/m_c.
+
+    Returns, in deterministic order, tuples of element coordinate vectors
+    (one per free variable).  Requires every modulus ≥ 1 (finite group).
+    Decodes the codes of brute_force_codes through a table of all |M|
+    elements.
+    """
+    sols, nfree, order = brute_force_codes(C, D, moduli)
+    elem = _element_table([int(m) for m in moduli], order)
+    return _decode_assignments(sols, elem, nfree, order)
+
+
+def _decode_assignments(sols, elem, nfree, order):
+    out = []
+    for s in sols.tolist():
+        assign = []
+        for _ in range(nfree):
+            assign.append(tuple(int(v) for v in elem[s % order]))
+            s //= order
+        out.append(tuple(assign))
+    return out
+
+
+def _element_table(moduli: list[int], order: int) -> np.ndarray:
+    """(order, rank) array of all element coordinate vectors, index order
+    matching mixed-radix encoding with the first coordinate fastest."""
+    grid = np.indices(moduli[::-1], dtype=np.int64)
+    return grid.reshape(len(moduli), order)[::-1].T

@@ -320,6 +320,18 @@ def test_limit_model(capsys):
         "t(Prod_p(PE(Sum_n(Z(p^n)^(λ))))) ⊕ Sum_p(Z(p^inf)^(λ))"
 
 
+def test_limit_model_refuses_a_composite_p(capsys):
+    argv = ("limit-model", "lambda", "--cof", "w", "--p", "4")
+    message = "variant must be 'Tor' or a prime, got 4"
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and err.strip() == f"error: {message}"
+    code, doc = run_json(capsys, *argv)
+    assert code == 1 and doc["error"] == message and "result" not in doc
+    code, doc = run_json(capsys, "limit-model", "lambda", "--cof", "w",
+                         "--p", "5")
+    assert code == 0 and doc["result"]["class"] == "p=5"
+
+
 def test_card_stable_false_koenig(capsys):
     code, out, _ = run(capsys, "card", "stable", "beth(ω)")
     assert code == 0

@@ -58,13 +58,18 @@ def test_invariant_factors_match_smith_form(moduli):
     assert M.free_rank == M.rank - len(diag)
 
 
-@given(st.lists(st.sampled_from((0, 1, 2, 3, 4, 6, 12)), max_size=5),
-       st.integers(0, 12))
-def test_diagonal_lattices_are_hermite(moduli, n):
-    # torsion_lattice and annihilator_lattice return their rows as built
-    M = FgGroup(moduli)
-    for basis in (M.torsion_lattice(), M.annihilator_lattice(n)):
-        assert basis == hermite_by_elimination(basis)
+@given(st.lists(st.tuples(st.sampled_from((0, 1, 2, 3, 4, 6, 12)),
+                          st.integers(-12, 12)), max_size=5))
+@example([(0, 0), (0, -3), (4, 0), (6, 4), (1, 5)])
+def test_diagonal_lattices_are_hermite(pairs):
+    # diagonal_subgroup writes its basis down: it must be the elimination
+    # HNF of the rows d_j·e_j together with the relations m_j·e_j
+    M = FgGroup([m for m, _ in pairs])
+    entries = [d for _, d in pairs]
+    rows = [[d if j == i else 0 for j in range(M.rank)]
+            for i, d in enumerate(entries)]
+    assert [list(r) for r in M.diagonal_subgroup(entries).basis] == \
+        hermite_by_elimination(rows + relation_basis(M))
 
 
 def test_parse_group_dsl():
@@ -400,12 +405,13 @@ def test_from_hnf_checks_its_basis():
     M = FgGroup((4, 2))
     assert Subgroup._from_hnf(M, [[2, 1], [0, 2]]) == Subgroup(M, [[2, 1]])
     bad = [
-        ([[2, 1]], "2 × 2"),                      # not square
-        ([[2, 1], [1, 1]], "left of its pivot"),  # not upper triangular
-        ([[3, 0], [0, 1]], "does not divide"),    # pivot 3 ∤ 4
-        ([[0, 0], [0, 1]], "does not divide"),    # pivot 0
+        ([[2, 1]], "column 1 of modulus 2 has no pivot"),
+        ([[2, 1], [1, 1]], "left of its pivot"),  # not echelon
+        ([[3, 0], [0, 1]], "not a positive divisor"),  # pivot 3 ∤ 4
+        ([[0, 0], [0, 1]], "column 0 of modulus 4 has no pivot"),
         ([[2, 2], [0, 2]], "not reduced"),        # 2 ∉ [0, 2)
         ([[2, -1], [0, 2]], "not reduced"),
+        ([[2, 1, 0], [0, 2, 0]], "needs 2 entries"),
     ]
     for basis, message in bad:
         with pytest.raises(GroupError, match=message):
@@ -413,33 +419,69 @@ def test_from_hnf_checks_its_basis():
     # in (ℤ/2)², the lattice of (2, 1) and (0, 2) misses 2·e_0
     with pytest.raises(GroupError, match="not in the lattice"):
         Subgroup._from_hnf(FgGroup((2, 2)), [[2, 1], [0, 2]])
-    with pytest.raises(GroupError, match="infinite"):
-        Subgroup._from_hnf(FgGroup((0,)), [[1]])
+    # a column ℤ takes any positive pivot, or none, and then its entries
+    # are free; an entry above a ℤ pivot is reduced like any other
+    ZZ4 = FgGroup((0, 0, 4))
+    for basis in ([[3, 7, 1], [0, 0, 2]], [[0, 5, 3], [0, 0, 4]],
+                  [[0, 0, 1]], [[2, -9, 0], [0, 0, 4]]):
+        assert Subgroup._from_hnf(ZZ4, basis) == Subgroup(ZZ4, basis)
+    for basis, message in (
+            ([[-3, 7, 1], [0, 0, 2]], "pivot -3 in column 0 is not a positive"),
+            ([[0, -5, 3], [0, 0, 4]], "pivot -5 in column 1 is not a positive"),
+            ([[1, 3, 0], [0, 2, 0], [0, 0, 4]], "entry 3 of row 0 is not reduced"),
+            ([[1, -1, 0], [0, 2, 0], [0, 0, 4]], "entry -1 of row 0 is not reduced"),
+            ([[1, 0, 0], [0, 0, 0], [0, 0, 4]], "column 2 of modulus 4 has no"),
+            ([[0, 1, 0], [1, 0, 0], [0, 0, 4]], "left of its pivot")):
+        with pytest.raises(GroupError, match=message):
+            Subgroup._from_hnf(ZZ4, basis)
+    with pytest.raises(GroupError, match="row 1 is zero"):
+        Subgroup._from_hnf(FgGroup((0, 0)), [[1, 0], [0, 0]])
+
+
+def _moved_bases(M, H):
+    """Each basis of H with one entry moved by ±1."""
+    for i, j, delta in itertools.product(
+            range(len(H.basis)), range(M.rank), (1, -1)):
+        B = [list(row) for row in H.basis]
+        B[i][j] += delta
+        yield B
+
+
+def _accepted_exactly_when_hermite(M, B) -> bool:
+    """_from_hnf accepts B exactly when B is the HNF of its own rows over
+    the ambient's moduli, and refuses it by a GroupError otherwise."""
+    hermite = hermite_row_basis(B, M.moduli) == B
+    try:
+        K = Subgroup._from_hnf(M, B)
+    except GroupError:
+        assert not hermite, (M.moduli, B)
+        return False
+    assert hermite, (M.moduli, B)
+    assert K == Subgroup(M, B)
+    return True
 
 
 def test_from_hnf_accepts_exactly_the_hermite_forms():
     """Every basis entry of every subgroup of every group of order ≤ 32,
-    moved by ±1: _from_hnf accepts the result exactly when it is the HNF of
-    its own rows over the ambient's moduli, and refuses it by a GroupError
-    otherwise."""
+    and of seeded subgroups of groups with ℤ factors, moved by ±1."""
     subgroups = accepted = 0
     for M in abelian_groups_upto(32):
         for H in all_subgroups(M):
             subgroups += 1
-            for i, j, delta in itertools.product(
-                    range(M.rank), range(M.rank), (1, -1)):
-                B = [list(row) for row in H.basis]
-                B[i][j] += delta
-                hermite = hermite_row_basis(B, M.moduli) == B
-                try:
-                    K = Subgroup._from_hnf(M, B)
-                except GroupError:
-                    assert not hermite, (M.moduli, B)
-                else:
-                    assert hermite, (M.moduli, B)
-                    assert K == Subgroup(M, B)
-                    accepted += 1
+            accepted += sum(_accepted_exactly_when_hermite(M, B)
+                            for B in _moved_bases(M, H))
     assert (subgroups, accepted) == (1030, 4170)
+    rng = random.Random(2510)
+    subgroups = accepted = 0
+    for moduli in ((0,), (0, 4), (4, 0), (0, 0, 6), (6, 0, 0), (0, 12, 0),
+                   (2, 0, 3, 0)):
+        M = FgGroup(moduli)
+        for H in [M.full_subgroup(), M.zero_subgroup()] + [
+                corpus.random_subgroup(rng, M) for _ in range(40)]:
+            subgroups += 1
+            accepted += sum(_accepted_exactly_when_hermite(M, B)
+                            for B in _moved_bases(M, H))
+    assert (subgroups, accepted) == (294, 709)
 
 
 def test_is_isomorphic():

@@ -102,5 +102,8 @@ def test_limit_model_rejects_unstable():
 def test_limit_model_rejects_bad_variant():
     with pytest.raises(GroupError):
         invariants.limit_model_template(C.Var("λ"), "w1", "nope")
+    for p in (4, 1, 0, -3, 91):  # 91 = 7 · 13
+        with pytest.raises(GroupError, match=f"a prime, got {p}$"):
+            invariants.limit_model_template(C.Var("λ"), "w1", p)
     with pytest.raises(GroupError):
         invariants.limit_model_template(C.Var("λ"), "up", "Tor")

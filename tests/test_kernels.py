@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import brute_force_solutions
 
 from pptor import corpus, kernels
 from pptor.formulas import Equation, PpFormula, normalize
@@ -13,7 +14,6 @@ from pptor.groups import FgGroup
 from pptor.kernels import (
     EnumerationLimit,
     brute_force_codes,
-    brute_force_solutions,
     encode_assignment,
 )
 from pptor.ppsolve import evaluate

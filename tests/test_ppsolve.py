@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from reference import (
+    brute_force_solutions,
     enumerate_homs,
     hermite_by_elimination,
     lattice_sum,
@@ -22,8 +24,7 @@ from pptor.groups import (
     all_subgroups,
     factorize,
 )
-from pptor.intlinalg import in_lattice
-from pptor.kernels import brute_force_solutions
+from pptor.intlinalg import hermite_row_basis, in_lattice, lattice_intersection
 from pptor.purity import is_pure
 
 
@@ -88,11 +89,39 @@ def _formulas_and_mixed_groups(draw):
 
 @given(_formulas_and_mixed_groups())
 def test_evaluate_basis_is_the_hermite_form(case):
-    # a finite M^n gets its basis assembled from the coordinate blocks; it
-    # must be the HNF that Subgroup computes from the same rows
+    # M^n gets its basis assembled from the coordinate blocks, in any
+    # ambient; it must be the HNF that Subgroup computes from the same rows
     f, M = case
     S = ppsolve.evaluate(f, M)
     assert S.basis == Subgroup(S.ambient, S.basis).basis
+
+
+def test_known_hermite_bases_need_no_second_hnf():
+    """The two facts that let evaluate and Subgroup.intersection skip an
+    HNF, on seeded corpus groups with a ℤ factor: the coordinate blocks of
+    φ[M], placed in M^n, have the basis that Subgroup computes from them,
+    and the rows of lattice_intersection are their own HNF over the moduli."""
+    rng = random.Random(2511)
+    pairs = 0
+    while pairs < 400:
+        M = corpus.random_group(rng, max_rank=3)
+        if M.is_finite:
+            continue
+        f = corpus.random_formula(rng)
+        mf = normalize(f)
+        rows = []
+        for c, m in enumerate(M.moduli):
+            for _, r in ppsolve._coordinate_lattice(mf.C, mf.D, m):
+                row = [0] * (len(r) * M.rank)
+                row[c::M.rank] = r
+                rows.append(row)
+        S = ppsolve.evaluate(f, M)
+        assert S.basis == Subgroup(S.ambient, rows).basis, (f, M)
+        H, K = corpus.random_subgroup(rng, M), corpus.random_subgroup(rng, M)
+        meet = lattice_intersection(H.basis, K.basis, M.moduli)
+        assert H.intersection(K).basis == \
+            tuple(map(tuple, hermite_row_basis(meet, M.moduli))), (H, K)
+        pairs += 1
 
 
 def test_index():
@@ -237,7 +266,8 @@ def _mixed_sum_lattice(N, p, k, l):
     """HNF coordinate lattice of p^k N + N[p^l], summed as lattices."""
     pkN = [[p ** k if j == i else 0 for j in range(N.rank)]
            for i in range(N.rank)]
-    return lattice_sum(pkN, N.annihilator_lattice(p ** l), relation_basis(N))
+    ann = N.diagonal_subgroup([m // math.gcd(m, p ** l) for m in N.moduli])
+    return lattice_sum(pkN, ann.basis, relation_basis(N))
 
 
 def _lattice_descriptor(a, Mg, emb, N, members):

@@ -296,24 +296,27 @@ def _diagonal_rows(entries):
 
 
 def test_diagonal_subgroups_match_hermite_route():
-    # in a finite M these diagonal subgroups are built as their own square
-    # HNF; each basis must equal the one Subgroup computes from the rows
-    groups = abelian_groups_upto(64) + [FgGroup(m) for m in
-                                        ((1,), (1, 1), (2, 1, 6), (9, 1, 3))]
+    # the diagonal subgroups are built from their known HNF
+    # (FgGroup.diagonal_subgroup), in any ambient; each basis must equal the
+    # one Subgroup computes from the diagonal rows
+    groups = abelian_groups_upto(64) + [FgGroup(m) for m in (
+        (1,), (1, 1), (2, 1, 6), (9, 1, 3), (0,), (0, 0), (0, 6, 4),
+        (4, 0, 1, 0), (1, 0, 12))]
     for M in groups:
         identity = _diagonal_rows([1] * M.rank)
         assert M.full_subgroup().basis == Subgroup(M, identity).basis
-        assert purity.torsion_radical(M).basis == \
-            Subgroup(M, M.torsion_lattice()).basis
-        for p in (2, 3, 5, 7):
-            parts = [m // math.gcd(m, p ** 6) for m in M.moduli]
-            assert purity.primary_component(M, p).basis == \
-                Subgroup(M, _diagonal_rows(parts)).basis
+        assert M.zero_subgroup().basis == Subgroup(M, []).basis
+        assert purity.torsion_radical(M).basis == Subgroup(
+            M, _diagonal_rows([1 if m else 0 for m in M.moduli])).basis
+        if M.is_finite:
+            for p in (2, 3, 5, 7):
+                parts = [m // math.gcd(m, p ** 6) for m in M.moduli]
+                assert purity.primary_component(M, p).basis == \
+                    Subgroup(M, _diagonal_rows(parts)).basis
         full = M.full_subgroup()
-        for n in range(1, M.exponent() + 1):
+        for n in range(1, (M.exponent() if M.is_finite else 12) + 1):
             nM = purity._meet_and_multiple(n, full, M)[0]
             assert nM.basis == Subgroup(M, _diagonal_rows([n] * M.rank)).basis
-    # infinite ambients keep the general HNF
     M = FgGroup((0, 6, 4))
     assert purity.torsion_radical(M).basis == ((0, 1, 0), (0, 0, 1))
     assert purity._meet_and_multiple(4, M.full_subgroup(), M)[0].basis \

@@ -1,6 +1,7 @@
 """Checks on the library's own source text."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pptor
@@ -16,3 +17,24 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_tracer_targets_resolve():
+    """Every (module, attribute path) that the benchmark's span tracer wraps
+    (TARGETS in perfbench/tracing.py, read as text, not imported) names a
+    function the library still has; a missing one would otherwise show up
+    only as a failed traced benchmark run."""
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(tracing.read_text(encoding="utf-8"))
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["TARGETS"])
+    assert targets
+    missing = []
+    for module, path, _ in targets.values():
+        owner = importlib.import_module(module)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}:{path}")
+    assert missing == []
