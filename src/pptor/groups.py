@@ -147,12 +147,9 @@ class FgGroup:
         """⟨d_j·e_j⟩, one entry d_j per coordinate, built from its known
         HNF: the row gcd(d_j, m_j)·e_j for each coordinate, none where that
         gcd is 0.  On ℤ/m_j, d_j = 0 gives m_j·e_j; on ℤ the gcd is |d_j|."""
-        if len(entries) != self.rank:
-            raise GroupError(f"expected {self.rank} diagonal entries, "
-                             f"got {len(entries)}")
         g = self.rank
         basis = []
-        for j, (d, m) in enumerate(zip(entries, self.moduli)):
+        for j, (d, m) in enumerate(zip(entries, self.moduli, strict=True)):
             d = gcd(d, m)
             if d:
                 basis.append((0,) * j + (d,) + (0,) * (g - j - 1))

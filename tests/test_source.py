@@ -1,4 +1,4 @@
-"""Checks on the library's own source text."""
+"""Checks on the source text of the library and of the benchmark tracer."""
 
 import ast
 import importlib
