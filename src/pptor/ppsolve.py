@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf
 
 from .formulas import PpFormula, normalize
 from .groups import (
@@ -32,12 +31,7 @@ from .groups import (
     direct_sum,
     factorize,
 )
-from .intlinalg import (
-    congruence_lattice,
-    in_lattice,
-    pivot_product,
-    solve_congruence_columns,
-)
+from .intlinalg import congruence_lattice, in_lattice, solve_congruence_columns
 
 
 class PpSolveError(ValueError):
@@ -102,14 +96,12 @@ def index(f: PpFormula, g: PpFormula, M: FgGroup):
         raise PpSolveError("formulas have different free arities")
     Sf = evaluate(f, M)
     Sg = evaluate(g, M)
-    for r in Sg.basis:
-        if not in_lattice(Sf.basis, r):
-            raise InclusionFailure(Sf.ambient.element(r).coords)
-    # g[M] ⊆ f[M] is now known, so the index is read off the pivots as in
-    # Subgroup.index_in, without walking the rows a second time
-    if len(Sg.basis) != len(Sf.basis):
-        return inf
-    return pivot_product(Sg.basis) // pivot_product(Sf.basis)
+    try:
+        return Sg.index_in(Sf)
+    except GroupError:
+        # the inclusion failed: name the first row of g[M] outside f[M]
+        r = next(r for r in Sg.basis if not in_lattice(Sf.basis, r))
+        raise InclusionFailure(Sf.ambient.element(r).coords) from None
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +375,7 @@ def count_types(M: FgGroup, bound: int, use_oracle: bool = False) -> int:
         units = iter([[int(i == j) for j in range(N.rank)]
                       for i in range(len(factors))])
         emb = [next(units) if d != 1 else [0] * N.rank for d in M.moduli]
-        S = N.diagonal_subgroup([1] * len(factors) + [0] * C.rank)
+        S = Subgroup(N, emb)
         for a in N.elements():
             d = pp_type_descriptor(a, S, N, check_purity=False,
                                    identification=(M, emb))

@@ -177,6 +177,15 @@ def trimmed_by_definition(T):
             return tuple(row[:K + 1] for row in T[:K + 1])
 
 
+def annihilator_rows(G: FgGroup, n: int) -> list[list[int]]:
+    """Rows d_j·e_j, d_j = m_j/gcd(m_j, n), spanning the coordinates of
+    G[n] = {x : n·x = 0} with the relations, for n ≠ 0; written down
+    directly, so that the routes here reach G[n] through the general HNF
+    rather than through the library's diagonal constructor."""
+    return [[m // gcd(m, n) if j == i else 0 for j in range(G.rank)]
+            for i, m in enumerate(G.moduli)]
+
+
 def enumerate_homs(source: FgGroup, target: FgGroup):
     """All homomorphisms source → target by DFS over generator images.
 
@@ -188,7 +197,7 @@ def enumerate_homs(source: FgGroup, target: FgGroup):
     for d in source.moduli:
         opts = []
         seen = set()
-        H = target.diagonal_subgroup([t // gcd(t, d) for t in target.moduli])
+        H = Subgroup(target, annihilator_rows(target, d))
         for e in H.elements():
             if e.coords not in seen:
                 seen.add(e.coords)
@@ -213,7 +222,7 @@ def ulm_invariants(G: FgGroup) -> UlmInvariants:
     alpha: dict = {}
     full = G.full_subgroup()
     for p, K in factorize(G.exponent()).items():
-        socle = G.diagonal_subgroup([m // gcd(m, p) for m in G.moduli])
+        socle = Subgroup(G, annihilator_rows(G, p))
         for n in range(1, K + 1):
             upper = _scaled(G, full, p ** (n - 1)).intersection(socle)
             lower = _scaled(G, full, p ** n).intersection(socle)

@@ -1,4 +1,3 @@
-import math
 import random
 import time
 
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from reference import (
+    annihilator_rows,
     brute_force_solutions,
     enumerate_homs,
     hermite_by_elimination,
@@ -266,8 +266,7 @@ def _mixed_sum_lattice(N, p, k, l):
     """HNF coordinate lattice of p^k N + N[p^l], summed as lattices."""
     pkN = [[p ** k if j == i else 0 for j in range(N.rank)]
            for i in range(N.rank)]
-    ann = N.diagonal_subgroup([m // math.gcd(m, p ** l) for m in N.moduli])
-    return lattice_sum(pkN, ann.basis, relation_basis(N))
+    return lattice_sum(pkN, annihilator_rows(N, p ** l), relation_basis(N))
 
 
 def _lattice_descriptor(a, Mg, emb, N, members):
