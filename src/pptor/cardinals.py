@@ -197,8 +197,6 @@ def prove_lt(a, b, depth: int = 0):
         return "aleph strictly increasing"
     if isinstance(a, Aleph) and ib is not None and _index_lt(a.i, ib):
         return "aleph below beth"
-    if ia == 0 and isinstance(b, Aleph) and _index_lt(0, b.i):
-        return "aleph0 least infinite"
     if isinstance(b, Power) and _ge_two(b.base):
         if prove_le(a, b.exp, depth + 1):
             return "Cantor"  # a ≤ μ < 2^μ ≤ κ^μ
@@ -225,11 +223,8 @@ def cofinality(e):
         if e.i == OMEGA:
             return ALEPH0  # countable supremum of the ℵ_n
         return e  # successor cardinals are regular
-    if isinstance(e, Beth):
-        if e.i == 0:
-            return ALEPH0
-        if e.i == OMEGA:
-            return ALEPH0  # countable supremum of the ℶ_n
+    if isinstance(e, Beth) and e.i == OMEGA:
+        return ALEPH0  # countable supremum of the ℶ_n
     return None
 
 
@@ -291,7 +286,7 @@ def stability_predicate(lam):
 
 
 # ---------------------------------------------------------------------------
-# normalization (fixed rewrite system, run to a fixed point)
+# normalization (fixed rewrite system, children before their parent)
 
 
 def _sort_key(e):
@@ -311,24 +306,20 @@ def _sort_key(e):
 
 
 def normalize(e):
-    prev = None
-    while e != prev:
-        prev = e
-        e = _normalize_once(e)
-    return e
+    """Normal form of e, in one pass from the leaves up.
 
-
-def _normalize_once(e):
-    if isinstance(e, (Finite, Var)):
+    Each argument is normalized first, so a node's rules read only normal
+    arguments; the one rule that builds a new term, (κ^μ)^ν = κ^(μ·ν),
+    normalizes that term, μ·ν, again.
+    """
+    if isinstance(e, (Finite, Aleph, Var)):
         return e
-    if isinstance(e, (Aleph, Beth)):
-        if isinstance(e, Beth) and e.i == 0:
-            return ALEPH0
-        return e
+    if isinstance(e, Beth):
+        return ALEPH0 if e.i == 0 else e
     if isinstance(e, Sum):
         args = []
         for a in e.args:
-            a = _normalize_once(a)
+            a = normalize(a)
             args.extend(a.args if isinstance(a, Sum) else [a])
         fin = sum(a.n for a in args if isinstance(a, Finite))
         args = [a for a in args if not isinstance(a, Finite)]
@@ -347,7 +338,7 @@ def _normalize_once(e):
     if isinstance(e, Prod):
         args = []
         for a in e.args:
-            a = _normalize_once(a)
+            a = normalize(a)
             args.extend(a.args if isinstance(a, Prod) else [a])
         fin = 1
         for a in args:
@@ -366,10 +357,9 @@ def _normalize_once(e):
         args.sort(key=_sort_key)
         return args[0] if len(args) == 1 else Prod(tuple(args))
     if isinstance(e, Power):
-        base = _normalize_once(e.base)
-        exp = _normalize_once(e.exp)
-        if isinstance(base, Power):  # (κ^μ)^ν = κ^(μ·ν)
-            return Power(base.base, _normalize_once(Prod((base.exp, exp))))
+        base, exp = normalize(e.base), normalize(e.exp)
+        if isinstance(base, Power):  # (κ^μ)^ν = κ^(μ·ν), κ not a power
+            base, exp = base.base, normalize(Prod((base.exp, exp)))
         if isinstance(exp, Finite):
             if exp.n == 0:
                 return Finite(1)

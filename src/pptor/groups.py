@@ -211,17 +211,6 @@ class Element:
     def is_zero(self) -> bool:
         return not any(self.coords)
 
-    def order(self):
-        """Least n ≥ 1 with n·a = 0, or inf for infinite order."""
-        n = 1
-        for c, m in zip(self.coords, self.group.moduli):
-            if m == 0:
-                if c != 0:
-                    return inf
-            elif c % m:
-                n = lcm(n, m // gcd(m, c % m))
-        return n
-
     def __str__(self):
         return "(" + ", ".join(map(str, self.coords)) + ")"
 

@@ -15,15 +15,19 @@ it finds the proof's elements b_n of the witness chain by enumeration.
 `brute_force_solutions` decodes the oracle's solution codes
 (`kernels.brute_force_codes`) into tuples of element coordinates, which the
 oracle itself never needs.
+
+`gch_values` is the cardinal engine's oracle: the values of a cardinal
+term in a model of GCH, where cardinal arithmetic is determined.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
+from pptor.cardinals import OMEGA, Aleph, Beth, Finite, Power, Prod, Sum, Var
 from pptor.chains import witness_chain
 from pptor.formulas import Equation, MatrixForm, PpFormula
 from pptor.groups import (
@@ -294,3 +298,74 @@ def _element_table(moduli: list[int], order: int) -> np.ndarray:
     matching mixed-radix encoding with the first coordinate fastest."""
     grid = np.indices(moduli[::-1], dtype=np.int64)
     return grid.reshape(len(moduli), order)[::-1].T
+
+
+# Cardinals in a model of GCH: n finite is (0, n), and ℵ_{ω·c+k} is (1, c, k),
+# so tuple order is cardinal order.  Each variable takes the values ℵ₀, ℵ₁,
+# ℵ₂, ℵ_ω and ℵ_{ω+1}.
+GCH_VAR_VALUES = ((1, 0, 0), (1, 0, 1), (1, 0, 2), (1, 1, 0), (1, 1, 1))
+
+
+def _gch_power(k, m):
+    """κ^μ under GCH (Jech, Set Theory, 3rd ed., ch. 5): for infinite μ,
+    κ when μ < cf κ, κ⁺ when cf κ ≤ μ ≤ κ, μ⁺ when κ ≤ μ (so 2^μ = μ⁺).
+    cf κ is ℵ₀ at a limit index, else κ (ℵ₀ and successors are regular)."""
+    if m[0] == 0:
+        if m[1] == 0:
+            return (0, 1)
+        return (0, k[1] ** m[1]) if k[0] == 0 else k
+    if k[0] == 0:
+        if k[1] <= 1:
+            return k  # 0^μ = 0, 1^μ = 1
+    elif m < ((1, 0, 0) if k[1] and not k[2] else k):  # μ < cf κ
+        return k
+    top = max(k, m)
+    return (1, top[1], top[2] + 1)
+
+
+def gch_values(e, envs):
+    """Values of the cardinal term e in a model of GCH, where ℶ_α = ℵ_α: one
+    for each assignment in envs of values to the variables."""
+    if isinstance(e, Finite):
+        return [(0, e.n)] * len(envs)
+    if isinstance(e, (Aleph, Beth)):  # ℶ_α = ℵ_α
+        value = (1, 1, 0) if e.i == OMEGA else (1, 0, e.i)
+        return [value] * len(envs)
+    if isinstance(e, Var):
+        return [env[e.name] for env in envs]
+    if isinstance(e, Power):
+        return list(map(_gch_power, gch_values(e.base, envs),
+                        gch_values(e.exp, envs)))
+    combine = _gch_sum if isinstance(e, Sum) else _gch_product
+    return [combine(vs) for vs in zip(*(gch_values(a, envs) for a in e.args))]
+
+
+def _gch_sum(values):
+    if any(v[0] for v in values):
+        return max(values)  # κ + μ = max(κ, μ) when one is infinite
+    return (0, sum(v[1] for v in values))
+
+
+def _gch_product(values):
+    if (0, 0) in values:
+        return (0, 0)
+    if any(v[0] for v in values):
+        return max(values)  # κ·μ = max(κ, μ) when one is infinite, μ ≥ 1
+    return (0, prod(v[1] for v in values))
+
+
+def gch_assignments(*terms):
+    """Every assignment of GCH_VAR_VALUES to the variables of the terms."""
+    names = sorted(set().union(*(_variables(t) for t in terms)))
+    return [dict(zip(names, values))
+            for values in itertools.product(GCH_VAR_VALUES, repeat=len(names))]
+
+
+def _variables(e):
+    if isinstance(e, Var):
+        return {e.name}
+    if isinstance(e, Power):
+        return _variables(e.base) | _variables(e.exp)
+    if isinstance(e, (Sum, Prod)):
+        return set().union(*(_variables(a) for a in e.args))
+    return set()

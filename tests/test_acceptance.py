@@ -6,7 +6,7 @@ gate run exactly the same checks.  Time limits are asserted here.
 
 import pytest
 
-from pptor import verify
+from pptor import cardinals, verify
 
 
 def _run(name, limit_seconds):
@@ -58,6 +58,22 @@ def test_criterion_07_ulm():
 def test_criterion_08_stability():
     # ℶ_ω unstable via König, μ^ℵ₀ stable, ℵ₁ unknown; 30-item soundness list
     _run("stability", 300)
+
+
+def test_criterion_08_fails_when_compare_decides_ch(monkeypatch):
+    """A prover that proves ℶ₁ ≤ ℵ₁, which ZFC leaves open, fails
+    criterion 08 on that item."""
+    compare = cardinals.compare
+
+    def decides_ch(a, b, relation):
+        if (a, relation, b) == (cardinals.Beth(1), "le", cardinals.Aleph(1)):
+            return cardinals.TRUE, "CH"
+        return compare(a, b, relation)
+
+    monkeypatch.setattr(cardinals, "compare", decides_ch)
+    result = verify.check_stability()
+    assert not result.passed
+    assert result.detail == "beth(1) le aleph1: got true (CH), want unknown"
 
 
 def test_criterion_09_limit_model_golden():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from pptor.cardinals import (
     parse_cardinal,
     stability_predicate,
 )
+from reference import gch_assignments, gch_values
 
 
 def test_parse_and_print_roundtrip():
@@ -87,21 +89,36 @@ def test_normalize_rules():
     assert n("3^aleph0") == n("2^aleph0")
 
 
+def test_zero_exponent_folds_before_the_parent_reads_it():
+    """(κ^μ)^0 is 1, not an infinite κ^0, when the Sum, Product or Power
+    above it applies its rules."""
+    p = parse_cardinal
+    assert normalize(p("2 + (mu^lambda)^0")) == Finite(3)
+    assert normalize(p("1 + (alephw^aleph0)^0")) == Finite(2)
+    assert normalize(p("aleph0^((lambda^aleph0)^0)")) == ALEPH0
+    assert normalize(p("(kappa^alephw)^(0^7)*7")) == Finite(7)
+    assert compare(Finite(2), p("2 + (mu^lambda)^0"), "le") == (TRUE, "finite")
+    assert compare(p("1 + (alephw^aleph0)^0"), Finite(2), "eq") == \
+        (TRUE, "equal normal forms")
+    assert compare(p("aleph0^((lambda^aleph0)^0)"), ALEPH0, "eq") == \
+        (TRUE, "equal normal forms")
+
+
+def _random_term(rng, atoms, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(atoms)
+    op = rng.choice((Sum, Prod, Power))
+    args = (_random_term(rng, atoms, depth - 1),
+            _random_term(rng, atoms, depth - 1))
+    return Power(*args) if op is Power else op(args)
+
+
 def test_normalize_idempotent_fuzz():
     rng = random.Random(15)
     atoms = [ALEPH0, Aleph(1), Aleph(2), Aleph("w"), Beth(1), Beth("w"),
-             Var("κ"), Var("λ"), Finite(2), Finite(7)]
-
-    def build(depth):
-        if depth == 0 or rng.random() < 0.3:
-            return rng.choice(atoms)
-        op = rng.choice((Sum, Prod, Power))
-        if op is Power:
-            return Power(build(depth - 1), build(depth - 1))
-        return op((build(depth - 1), build(depth - 1)))
-
+             Var("κ"), Var("λ"), Finite(0), Finite(1), Finite(2), Finite(7)]
     for _ in range(400):
-        e = build(3)
+        e = _random_term(rng, atoms, 3)
         n1 = normalize(e)
         assert normalize(n1) == n1
         assert parse_cardinal(card_str(n1)) == n1
@@ -163,3 +180,50 @@ def test_compare_dispatch():
     assert compare(ALEPH0, ALEPH0, "=")[0] == TRUE
     with pytest.raises(CardinalError):
         compare(ALEPH0, ALEPH0, "nope")
+
+
+# GCH model checks: GCH is consistent with ZFC, so a verdict that fails in
+# the model is no theorem, and a normal form must keep the term's value there.
+
+_MODEL_LEAVES = [Finite(0), Finite(1), Finite(2), ALEPH0, Aleph(1), Aleph("w"),
+                 Beth(1), Var("λ")]
+
+
+def test_normalize_keeps_the_value_of_every_nested_power_in_a_gch_model():
+    """All 16,384 terms x ∘ ((a^b)^c) over eight leaves, ∘ one of +, ·, x^t
+    and t^x: a power of a power is where a half-rewritten child showed."""
+    changed = []
+    for x, a, b, c in itertools.product(_MODEL_LEAVES, repeat=4):
+        t = Power(Power(a, b), c)
+        envs = gch_assignments(x, t)
+        for e in (Sum((x, t)), Prod((x, t)), Power(x, t), Power(t, x)):
+            if gch_values(normalize(e), envs) != gch_values(e, envs):
+                changed.append(card_str(e))
+    assert changed == []
+
+
+_HOLDS = {"lt": lambda x, y: x < y, "le": lambda x, y: x <= y,
+          "eq": lambda x, y: x == y}
+
+
+def test_compare_verdicts_hold_in_a_gch_model():
+    """Seeded comparisons of terms of depth ≤ 3: TRUE must hold and FALSE
+    must fail under every assignment of the variables.  The finite atoms
+    stay ≤ 2, so no finite power outgrows 256^256."""
+    rng = random.Random(26)
+    atoms = _MODEL_LEAVES + [Aleph(2), Beth("w"), Var("κ")]
+    decided, wrong = 0, []
+    for _ in range(2000):
+        a = _random_term(rng, atoms, 3)
+        b = _random_term(rng, atoms, 3)
+        rel = rng.choice(tuple(_HOLDS))
+        verdict, reason = compare(a, b, rel)
+        if verdict is UNKNOWN:
+            continue
+        decided += 1
+        envs = gch_assignments(a, b)
+        holds = map(_HOLDS[rel], gch_values(a, envs), gch_values(b, envs))
+        if any(h != (verdict is TRUE) for h in holds):
+            wrong.append((card_str(a), rel, card_str(b), str(verdict), reason))
+    assert wrong == []
+    assert decided == 1146

@@ -351,6 +351,24 @@ def test_card_stable_unknown_json(capsys):
     assert doc["result"]["verdict"] == "unknown"
 
 
+ZERO_POWER = "aleph0^((lambda^aleph0)^0)"  # (λ^ℵ₀)^0 = 1, so this is ℵ₀
+
+
+@pytest.mark.parametrize("command, options", [
+    (("card", "stable"), ()),
+    (("limit-model",), ("--cof", "w1", "--p", "2")),
+])
+def test_a_power_to_the_zero_answers_as_its_value(capsys, command, options):
+    code, out, err = run(capsys, *command, ZERO_POWER, *options)
+    assert (code, out, err) == run(capsys, *command, "aleph0", *options)
+    if command == ("card", "stable"):
+        assert code == 0 and out == "false (beth strictly increasing)\n"
+    code, doc = run_json(capsys, *command, ZERO_POWER, *options)
+    want_code, want = run_json(capsys, *command, "aleph0", *options)
+    assert doc.pop("input") == dict(want.pop("input"), cardinal=ZERO_POWER)
+    assert (code, doc) == (want_code, want)
+
+
 def test_verify_single_suite(capsys):
     code, doc = run_json(capsys, "verify", "--suite", "rem-ab")
     assert code == 0
