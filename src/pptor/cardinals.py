@@ -14,9 +14,16 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ._lexer import Cursor, _integer, _shown
+from ._lexer import Cursor, _integer, _shown, int_digit_limit
 
 OMEGA = "w"  # ordinal index ω
+
+# A finite value that normalize computes has at most this many decimal
+# digits (CPython's default integer-string limit), or the interpreter's own
+# limit when that is lower, so card_str prints every normal form.  A finite
+# power past it is refused from the bit lengths of its base and exponent,
+# before it is computed: 9^9^8 would take minutes.
+MAX_FINITE_DIGITS = 4300
 
 
 class CardinalError(ValueError):
@@ -98,6 +105,19 @@ def is_infinite(e) -> bool:
             _finite_ge(e.base, 2) and is_infinite(e.exp)
         )
     raise CardinalError(f"not a cardinal expression: {e!r}")
+
+
+def _finite(b: int, e: int = 1) -> Finite:
+    """Finite(b^e), or the CardinalError naming the limit when b^e has more
+    digits than it allows.  A power is refused before it is computed when
+    b^e ≥ 2^((bits(b) − 1)·e) ≥ 16^limit; one that passes has fewer than
+    8·limit bits, so computing it is cheap."""
+    limit = min(MAX_FINITE_DIGITS, int_digit_limit() or MAX_FINITE_DIGITS)
+    if (b.bit_length() - 1) * e < 4 * limit:
+        n = b ** e
+        if n.bit_length() <= 3 * limit or n < 10 ** limit:  # 2^(3L) < 10^L
+            return Finite(n)
+    raise CardinalError(f"a finite value exceeds the limit of {limit} digits")
 
 
 def _finite_ge(e, n) -> bool:
@@ -324,9 +344,9 @@ def normalize(e):
         fin = sum(a.n for a in args if isinstance(a, Finite))
         args = [a for a in args if not isinstance(a, Finite)]
         if not args:
-            return Finite(fin)
+            return _finite(fin)
         if fin:
-            args.append(Finite(fin))
+            args.append(_finite(fin))
         # infinite sum = max when a dominant summand is provable
         for cand in args:
             if is_infinite(cand) and all(
@@ -346,9 +366,9 @@ def normalize(e):
                 fin *= a.n
         args = [a for a in args if not isinstance(a, Finite)]
         if fin == 0 or not args:
-            return Finite(fin if not args else 0)
+            return _finite(fin if not args else 0)
         if fin > 1:
-            args.append(Finite(fin))
+            args.append(_finite(fin))
         for cand in args:
             if is_infinite(cand) and all(
                 a is cand or (_ge_one(a) and prove_le(a, cand)) for a in args
@@ -366,7 +386,7 @@ def normalize(e):
             if exp.n == 1:
                 return base
             if isinstance(base, Finite):
-                return Finite(base.n ** exp.n)
+                return _finite(base.n, exp.n)
             if is_infinite(base):
                 return base  # κ^n = κ for infinite κ, finite n ≥ 1
         if isinstance(base, Finite) and base.n <= 1:

@@ -23,6 +23,7 @@ from .intlinalg import (
     pivot_product,
     reduce_above_pivots,
     smith_normal_form,
+    solve_congruence_columns,
 )
 
 
@@ -31,9 +32,17 @@ class GroupError(ValueError):
 
 
 # Trial division tries divisors up to this bound, so every n < 10^12 factors
-# completely; a larger cofactor with no divisor up to the bound cannot be
-# certified prime and is refused rather than searched.
+# completely.  A cofactor above the bound is first tested by Miller–Rabin,
+# which certifies a prime below MILLER_RABIN_BOUND; a composite cofactor with
+# no divisor up to the bound is refused rather than searched, as is a prime
+# one at or past MILLER_RABIN_BOUND.
 TRIAL_DIVISION_LIMIT = 10**6
+
+# Miller–Rabin with the first 13 primes as bases decides primality of every
+# n below this bound, the least strong pseudoprime to all of them
+# (Sorenson and Webster, Math. Comp. 86 (2017); Cohen, GTM 138, §8.2).
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
 
 # Largest rank (number of cyclic coordinates) of a group the parser builds
 # and evaluate works in.  HNF and Smith form cost grows steeply with the
@@ -44,20 +53,50 @@ TRIAL_DIVISION_LIMIT = 10**6
 MAX_RANK = 64
 
 
+def _certified_prime(n: int) -> bool:
+    """Whether n lies above TRIAL_DIVISION_LIMIT and below
+    MILLER_RABIN_BOUND and is prime: a strong probable prime to every base
+    in MILLER_RABIN_BASES.  Smaller n are left to trial division."""
+    if not TRIAL_DIVISION_LIMIT < n < MILLER_RABIN_BOUND or n % 2 == 0:
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def factorize(n: int) -> dict[int, int]:
-    """{p: v_p(n)} for n ≥ 1, primes ascending; GroupError past the limit."""
+    """{p: v_p(n)} for n ≥ 1, primes ascending; GroupError past the limit.
+
+    Trial division, except that n and the cofactor left after each prime
+    divided out are first tested by _certified_prime: a prime cofactor
+    above TRIAL_DIVISION_LIMIT ends the search at once."""
     if n < 1:
         raise GroupError(f"cannot factor {n}")
     out = {}
     d = 2
-    while d * d <= n:
+    prime = _certified_prime(n)
+    while not prime and d * d <= n:
         if d > TRIAL_DIVISION_LIMIT:
             raise GroupError(
                 f"cannot factor {n}: it has no prime factor up to the trial "
                 f"division limit {TRIAL_DIVISION_LIMIT}")
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
+        if n % d == 0:
+            while n % d == 0:
+                out[d] = out.get(d, 0) + 1
+                n //= d
+            prime = _certified_prime(n)
         d += 1 if d == 2 else 2
     if n > 1:
         out[n] = out.get(n, 0) + 1
@@ -483,6 +522,48 @@ class Homomorphism:
 
     def image(self) -> Subgroup:
         return self.image_of_subgroup(self.source.full_subgroup())
+
+
+# ---------------------------------------------------------------------------
+# constrained homomorphisms: the pp-type oracle and purity's retractions
+
+
+def _coords(x, G: FgGroup):
+    """Coordinates of x, an Element of G or a sequence of G.rank integers."""
+    if isinstance(x, Element):
+        if x.group != G:
+            raise GroupError(f"{x} of {x.group} is not an element of {G}")
+        return x.coords
+    x = tuple(x)
+    if len(x) != G.rank:
+        raise GroupError(f"expected {G.rank} coordinates of {G}, got {len(x)}")
+    return x
+
+
+def find_constrained_hom(source: FgGroup, target: FgGroup, constraints):
+    """A Homomorphism source → target with f(a) = b for each (a, b) in
+    constraints (elements, or coordinate sequences), or None.
+
+    Entry j of f(v) is Σ_i v_i·x_{i,j} and is taken modulo target modulus
+    t_j alone, so column j of the matrix solves A·x ≡ w_j (mod t_j) in r1
+    unknowns.  The rows of A are the same for every column: d_i·e_i with
+    w = 0 (so that f is well defined) and the source side of each
+    constraint.  Only w_j and t_j change from column to column, so one
+    Smith form of A solves them all (intlinalg.solve_congruence_columns).
+    """
+    r1, r2 = source.rank, target.rank
+    pairs = [([d if k == i else 0 for k in range(r1)], [0] * r2)
+             for i, d in enumerate(source.moduli) if d]
+    pairs += [(_coords(a, source), _coords(b, target)) for a, b in constraints]
+    if not pairs:  # no conditions at all: the zero map is one answer
+        return Homomorphism(source, target, [[0] * r2 for _ in range(r1)])
+    cols = solve_congruence_columns(
+        [list(v) for v, _ in pairs],
+        [[w[j] for _, w in pairs] for j in range(r2)], target.moduli)
+    if cols is None:
+        return None
+    return Homomorphism(source, target, [[col[i] for col in cols]
+                                         for i in range(r1)])
 
 
 # ---------------------------------------------------------------------------

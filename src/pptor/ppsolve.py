@@ -25,13 +25,13 @@ from .groups import (
     Element,
     FgGroup,
     GroupError,
-    Homomorphism,
     Subgroup,
     abelian_groups_upto,
     direct_sum,
     factorize,
+    find_constrained_hom,
 )
-from .intlinalg import congruence_lattice, in_lattice, solve_congruence_columns
+from .intlinalg import congruence_lattice, in_lattice
 
 
 class PpSolveError(ValueError):
@@ -102,48 +102,6 @@ def index(f: PpFormula, g: PpFormula, M: FgGroup):
         # the inclusion failed: name the first row of g[M] outside f[M]
         r = next(r for r in Sg.basis if not in_lattice(Sf.basis, r))
         raise InclusionFailure(Sf.ambient.element(r).coords) from None
-
-
-# ---------------------------------------------------------------------------
-# constrained homomorphisms (the pp-type oracle)
-
-
-def _coords(x, G: FgGroup):
-    """Coordinates of x, an Element of G or a sequence of G.rank integers."""
-    if isinstance(x, Element):
-        if x.group != G:
-            raise GroupError(f"{x} of {x.group} is not an element of {G}")
-        return x.coords
-    x = tuple(x)
-    if len(x) != G.rank:
-        raise GroupError(f"expected {G.rank} coordinates of {G}, got {len(x)}")
-    return x
-
-
-def find_constrained_hom(source: FgGroup, target: FgGroup, constraints):
-    """A Homomorphism source → target with f(a) = b for each (a, b) in
-    constraints (elements, or coordinate sequences), or None.
-
-    Entry j of f(v) is Σ_i v_i·x_{i,j} and is taken modulo target modulus
-    t_j alone, so column j of the matrix solves A·x ≡ w_j (mod t_j) in r1
-    unknowns.  The rows of A are the same for every column: d_i·e_i with
-    w = 0 (so that f is well defined) and the source side of each
-    constraint.  Only w_j and t_j change from column to column, so one
-    Smith form of A solves them all (intlinalg.solve_congruence_columns).
-    """
-    r1, r2 = source.rank, target.rank
-    pairs = [([d if k == i else 0 for k in range(r1)], [0] * r2)
-             for i, d in enumerate(source.moduli) if d]
-    pairs += [(_coords(a, source), _coords(b, target)) for a, b in constraints]
-    if not pairs:  # no conditions at all: the zero map is one answer
-        return Homomorphism(source, target, [[0] * r2 for _ in range(r1)])
-    cols = solve_congruence_columns(
-        [list(v) for v, _ in pairs],
-        [[w[j] for _, w in pairs] for j in range(r2)], target.moduli)
-    if cols is None:
-        return None
-    return Homomorphism(source, target, [[col[i] for col in cols]
-                                         for i in range(r1)])
 
 
 # ---------------------------------------------------------------------------

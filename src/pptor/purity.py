@@ -49,6 +49,7 @@ from .groups import (
     GroupError,
     Subgroup,
     factorize,
+    find_constrained_hom,
     quotient,
 )
 from .intlinalg import hermite_row_basis, in_lattice, pivot_product
@@ -147,8 +148,6 @@ def _retraction(H: Subgroup, M: FgGroup):
     """(r, emb): emb holds the ambient coordinates of the generators of H's
     abstract form, i.e. the rows of the inclusion ι, and r: M → H is a
     homomorphism with r∘ι = 1, or None when none exists."""
-    from .ppsolve import find_constrained_hom
-
     Hg, emb = H.as_group_with_embedding()
     cons = [(tuple(emb[i]),
              tuple(1 if j == i else 0 for j in range(Hg.rank)))

@@ -192,7 +192,8 @@ def check_pp_type_oracle():
             for a, S, N in members:
                 member_checks += 1
                 if not ppsolve.hom_oracle_equal(a, S, N, a0, S0, N0):
-                    return False, f"descriptor merged oracle-distinct types in {N0}"
+                    return False, (f"descriptor merged oracle-distinct types: "
+                                   f"{a} in {N} and {a0} in {N0}")
         reps = [cls[0] for cls in classes.values()]
         for r1, r2 in combinations(reps, 2):
             rep_pairs += 1

@@ -7,8 +7,9 @@ variable (`normalize_per_variable`), lattice indices by determinants
 (`hermite_by_elimination`) and lattice sums by it, a group's relation rows
 (`relation_basis`), Smith diagonals by a Smith form, all homomorphisms by
 enumeration, purity by splitting, the Ulm invariants by subgroup arithmetic
-on the socle layers, and a pp-type table's clamp by trying each K against
-its definition (`trimmed_by_definition`).
+on the socle layers, a pp-type table's clamp by trying each K against
+its definition (`trimmed_by_definition`), and a factorization by plain
+trial division with no primality test (`factorize_by_trial_division`).
 
 `witness_b_elements` is the one route here with no library counterpart:
 it finds the proof's elements b_n of the witness chain by enumeration.
@@ -36,6 +37,7 @@ from pptor.groups import (
     GroupError,
     Homomorphism,
     Subgroup,
+    TRIAL_DIVISION_LIMIT,
     factorize,
 )
 from pptor.intlinalg import (
@@ -168,6 +170,27 @@ def lattice_sum(*bases) -> list[list[int]]:
 def snf_diagonal(A: Matrix) -> list[int]:
     _, S, _, _ = smith_normal_form(A, ())
     return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
+
+
+def factorize_by_trial_division(n: int) -> dict[int, int]:
+    """groups.factorize without Miller–Rabin: divisors up to
+    TRIAL_DIVISION_LIMIT, and the same refusal past it."""
+    if n < 1:
+        raise GroupError(f"cannot factor {n}")
+    out = {}
+    d = 2
+    while d * d <= n:
+        if d > TRIAL_DIVISION_LIMIT:
+            raise GroupError(
+                f"cannot factor {n}: it has no prime factor up to the trial "
+                f"division limit {TRIAL_DIVISION_LIMIT}")
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def trimmed_by_definition(T):

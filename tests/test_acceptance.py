@@ -4,9 +4,14 @@ The heavy lifting lives in pptor.verify so the CLI (`pptor verify`) and this
 gate run exactly the same checks.  Time limits are asserted here.
 """
 
+import dataclasses
+import re
+
 import pytest
 
-from pptor import cardinals, verify
+from pptor import cardinals, invariants, ppsolve, purity, verify
+from pptor.formulas import parse
+from pptor.groups import FgGroup, Subgroup
 
 
 def _run(name, limit_seconds):
@@ -74,6 +79,121 @@ def test_criterion_08_fails_when_compare_decides_ch(monkeypatch):
     result = verify.check_stability()
     assert not result.passed
     assert result.detail == "beth(1) le aleph1: got true (CH), want unknown"
+
+
+# One injected fault per criterion (08 has its own test above): the suite name,
+# a function that installs the fault on the name the criterion calls, and the
+# pattern its failure detail must match in full, which names the case.
+
+
+def _drop_a_row_on_z8(mp):
+    real = ppsolve.evaluate
+
+    def fault(f, M):
+        S = real(f, M)
+        if 8 not in M.moduli:
+            return S
+        return Subgroup(S.ambient, S.basis[:-1])
+
+    mp.setattr(ppsolve, "evaluate", fault)
+
+
+_SUMMAND = Subgroup(FgGroup((4, 2)), [[0, 1]])  # pure: Z/4 + Z/2 = Z/4 ⊕ it
+
+
+def _refuse_a_pure_summand(mp):
+    real = purity.complement
+    mp.setattr(purity, "complement",
+               lambda H, M: None if H == _SUMMAND else real(H, M))
+
+
+def _no_torsion_when_infinite(mp):
+    real = purity.torsion_radical
+    mp.setattr(purity, "torsion_radical",
+               lambda M: real(M) if M.is_finite else M.zero_subgroup())
+
+
+def _scalar_minus_3_not_low(mp):
+    real = verify.scalar_formula
+    mp.setattr(verify, "scalar_formula",
+               lambda r, f: parse("E y. x = 2*y") if r == -3 else real(r, f))
+
+
+def _index_wrong_at_27(mp):
+    real = ppsolve.index
+
+    def fault(f, g, M):
+        idx = real(f, g, M)
+        return idx + 1 if idx == 27 else idx
+
+    mp.setattr(ppsolve, "index", fault)
+
+
+def _descriptor_drops_3(mp):
+    real = ppsolve.pp_type_descriptor
+
+    def fault(*args, **kwargs):
+        d = real(*args, **kwargs)
+        return dataclasses.replace(
+            d, tables=tuple(t for t in d.tables if t[0] != 3))
+
+    mp.setattr(ppsolve, "pp_type_descriptor", fault)
+
+
+def _ulm_reads_16_as_8(mp):
+    real = invariants.ulm_invariants
+    mp.setattr(invariants, "ulm_invariants", lambda G: real(
+        FgGroup(tuple(8 if m == 16 else m for m in G.moduli))))
+
+
+def _omega_template_loses_a_space(mp):
+    real = invariants.limit_model_template
+
+    def fault(lam, cof_class, variant="Tor"):
+        tpl = real(lam, cof_class, variant)
+        if cof_class != "w":
+            return tpl
+        return dataclasses.replace(tpl, text=tpl.text.replace(" ", "", 1))
+
+    mp.setattr(invariants, "limit_model_template", fault)
+
+
+def _rate_2_bounded(mp):
+    real = purity.in_torsion_of_pe
+    mp.setattr(purity, "in_torsion_of_pe", lambda pattern: (
+        pattern.kind == "strictly-increasing" and pattern.rate == 2
+        or real(pattern)))
+
+
+FAULTS = {
+    "evaluation": (_drop_a_row_on_z8,
+                   r"cardinality mismatch for .* on .*Z/8.*"),
+    "complement": (_refuse_a_pure_summand, re.escape(
+        f"mismatch at H ≤ Z/4 + Z/2, basis {_SUMMAND.basis}")),
+    "radical": (_no_torsion_when_infinite, r"f\(t\(M\)\) ⊄ t\(N\) at trial \d+"),
+    "closure": (_scalar_minus_3_not_low, r"scalar -3 not low at trial \d+: .*"),
+    "chain": (_index_wrong_at_27, re.escape("index 28 at (3, 1, 3), level 0")),
+    "types": (_descriptor_drops_3,
+              r"descriptor merged oracle-distinct types: \(.*\) in .*Z/3.*"
+              r" and \(.*\) in .*"),
+    "ulm": (_ulm_reads_16_as_8, r"round trip failed at .*Z/16.*"),
+    "limit-model": (_omega_template_loses_a_space,
+                    r"limit_model_tor_w\.txt: .* != .*"),
+    "rem-ab": (_rate_2_bounded,
+               r"wrong verdict for OrderPattern\(kind='strictly-increasing', "
+               r".*rate=2.*\)"),
+}
+
+
+@pytest.mark.parametrize("suite", FAULTS)
+def test_every_criterion_fails_on_its_injected_fault(suite, monkeypatch):
+    """A criterion that cannot fail checks nothing: each one reports
+    passed=False, naming the failing case, once its library call is broken."""
+    inject, detail = FAULTS[suite]
+    inject(monkeypatch)
+    result = verify.run_suite(suite)[0]
+    assert result.passed is False
+    assert re.fullmatch(detail, result.detail), result.detail
 
 
 def test_criterion_09_limit_model_golden():

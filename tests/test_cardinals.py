@@ -7,6 +7,7 @@ from pptor._lexer import int_digit_limit
 from pptor.cardinals import (
     ALEPH0,
     FALSE,
+    MAX_FINITE_DIGITS,
     TRUE,
     UNKNOWN,
     Aleph,
@@ -102,6 +103,26 @@ def test_zero_exponent_folds_before_the_parent_reads_it():
         (TRUE, "equal normal forms")
     assert compare(p("aleph0^((lambda^aleph0)^0)"), ALEPH0, "eq") == \
         (TRUE, "equal normal forms")
+
+
+def test_a_finite_value_past_the_digit_limit_is_refused():
+    """normalize refuses a finite value of more digits than the limit, a
+    power before computing it, so card_str can print every normal form."""
+    limit = min(MAX_FINITE_DIGITS, int_digit_limit() or MAX_FINITE_DIGITS)
+    p = parse_cardinal
+    widest = normalize(p(f"9*10^{limit - 1} + aleph0*0"))  # limit digits
+    assert widest == Finite(9 * 10 ** (limit - 1))
+    assert len(card_str(widest)) == limit
+    message = f"a finite value exceeds the limit of {limit} digits"
+    for text in (f"10^{limit}", f"10^{limit - 1}*10",
+                 f"10^{limit - 1}*9 + 10^{limit - 1}", "aleph0 + 9^9^8",
+                 "aleph0 + 7^7^7", "1^(9^9^9)", f"2^(10^{limit - 1})"):
+        with pytest.raises(CardinalError) as exc:
+            normalize(p(text))
+        assert str(exc.value) == message, text
+    # an exponent of `limit` digits is cheap when the base is 0 or 1
+    assert normalize(p(f"1^(9*10^{limit - 1})")) == Finite(1)
+    assert normalize(p(f"0^(9*10^{limit - 1})")) == Finite(0)
 
 
 def _random_term(rng, atoms, depth):

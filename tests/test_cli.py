@@ -10,6 +10,7 @@ import pytest
 
 import pptor
 from pptor._lexer import int_digit_limit
+from pptor.cardinals import MAX_FINITE_DIGITS
 from pptor.cli import main
 
 LIMIT = int_digit_limit()
@@ -351,6 +352,19 @@ def test_card_stable_unknown_json(capsys):
     assert doc["result"]["verdict"] == "unknown"
 
 
+@pytest.mark.parametrize("cardinal", ["aleph0 + 9^9^7", "aleph0 + 9^9^8"])
+def test_a_finite_power_past_the_digit_limit_exits_1_at_once(capsys, cardinal):
+    # 9^9^7 has 4.6 million digits and took seconds; 9^9^8 ran for minutes
+    limit = min(MAX_FINITE_DIGITS, LIMIT or MAX_FINITE_DIGITS)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "card", "stable", cardinal)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == f"error: a finite value exceeds the limit of {limit} digits\n"
+    code, doc = run_json(capsys, "card", "stable", cardinal)
+    assert code == 1 and str(limit) in doc["error"]
+
+
 ZERO_POWER = "aleph0^((lambda^aleph0)^0)"  # (λ^ℵ₀)^0 = 1, so this is ℵ₀
 
 
@@ -380,6 +394,13 @@ def test_domain_error_exit_1(capsys):
     assert code == 1 and "error" in err
     code, doc = run_json(capsys, "eval", "bad ((", "Z/2")
     assert code == 1 and "result" not in doc
+
+
+def test_verify_suite_choices_are_the_suites():
+    """The parser lists the suites without importing the acceptance suite."""
+    from pptor import cli, verify
+
+    assert cli.VERIFY_SUITES == tuple(verify.SUITES)
 
 
 def test_usage_error_exit_2(capsys):

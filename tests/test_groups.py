@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from reference import (
+    factorize_by_trial_division,
     hermite_by_elimination,
     lattice_index,
     relation_basis,
@@ -18,6 +19,7 @@ from pptor._lexer import int_digit_limit
 from pptor.groups import (
     MAX_RANK,
     MAX_SUBGROUPS_ORDER,
+    MILLER_RABIN_BOUND,
     TRIAL_DIVISION_LIMIT,
     FgGroup,
     GroupError,
@@ -537,3 +539,40 @@ def test_factorize():
         factorize(big)
     with pytest.raises(GroupError):
         factorize(0)
+
+
+def test_factorize_agrees_with_trial_division():
+    """Miller–Rabin only ends the search early: every n ≤ 20,000, every n
+    around the trial division limit and seeded n < 10^12 factor as plain
+    trial division factors them.  (Every n ≤ 10^6 agrees too; that check
+    takes about 30 s.)"""
+    rng = random.Random(27)
+    ns = [*range(1, 20_001),
+          *range(TRIAL_DIVISION_LIMIT - 1000, TRIAL_DIVISION_LIMIT + 1000),
+          *(rng.randrange(1, 10**12) for _ in range(100)),
+          # a small factor times a cofactor above the limit, prime or not
+          *(rng.randrange(1, 1000) * rng.randrange(TRIAL_DIVISION_LIMIT, 10**9)
+            for _ in range(100)),
+          3215031751]  # 151·751·28351, a strong pseudoprime to bases 2–7
+    assert [factorize(n) for n in ns] == \
+        [factorize_by_trial_division(n) for n in ns]
+
+
+def test_factorize_certifies_a_prime_cofactor():
+    m61 = 2**61 - 1  # a Mersenne prime, past the reach of trial division
+    assert factorize(m61) == {m61: 1}
+    assert factorize(3 * 5**2 * m61) == {3: 1, 5: 2, m61: 1}
+    # strong pseudoprime to the bases 2–23; base 29 shows it composite
+    assert factorize(3825123056546413051) == \
+        {149491: 1, 747451: 1, 34233211: 1}
+    refused = "cannot factor {}: it has no prime factor up to the trial " \
+              "division limit 1000000"
+    for n in (
+        1000003 * 1000033,  # composite
+        318665857834031151167461,  # strong pseudoprime to the bases 2–37
+        MILLER_RABIN_BOUND,  # the least one to the bases 2–41
+        2**89 - 1,  # prime, but past MILLER_RABIN_BOUND
+    ):
+        with pytest.raises(GroupError) as exc:
+            factorize(n)
+        assert str(exc.value) == refused.format(n)
