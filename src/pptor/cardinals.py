@@ -200,6 +200,10 @@ def prove_le(a, b, depth: int = 0):
             if (prove_le(a.base, b.base, depth + 1)
                     and prove_le(a.exp, b.exp, depth + 1)):
                 return "power monotonicity"
+            if (_ge_two(b.base) and is_infinite(b.exp)
+                    and prove_le(a.base, b, depth + 1)
+                    and prove_le(a.exp, b.exp, depth + 1)):
+                return "power below a power"  # κ^μ ≤ (λ^ν)^μ = λ^ν
     return None
 
 

@@ -11,6 +11,7 @@ from math import gcd
 
 from .formulas import Equation, PpFormula, is_low
 from .groups import Element, FgGroup, Homomorphism, Subgroup
+from .intlinalg import mat_mul
 
 
 def random_formula(rng: random.Random, max_free: int = 2, max_bound: int = 3,
@@ -77,9 +78,6 @@ def random_homomorphism(rng: random.Random, M: FgGroup, N: FgGroup) -> Homomorph
         H = N.diagonal_subgroup([t // gcd(t, d) if d else 1 for t in N.moduli])
         # random lattice point of the annihilator, reduced into the group
         combo = [rng.randint(-5, 5) for _ in H.basis]
-        coords = [
-            sum(c * row[j] for c, row in zip(combo, H.basis))
-            for j in range(N.rank)
-        ]
+        coords = mat_mul([combo], H.basis, N.rank)[0]
         rows.append(list(N.element(coords).coords))
     return Homomorphism(M, N, rows)

@@ -14,6 +14,7 @@ from math import gcd, inf, lcm, prod
 
 from ._lexer import Cursor
 from .intlinalg import (
+    congruence_columns_solvable,
     hermite_row_basis,
     identity_matrix,
     in_lattice,
@@ -404,11 +405,8 @@ class Subgroup:
     def elements(self):
         """Elements of the subgroup as ambient Elements; finite only."""
         grp, emb = self.as_group_with_embedding()
-        for x in grp.elements():
-            yield self.ambient.element(
-                [sum(c * emb[i][j] for i, c in enumerate(x.coords))
-                 for j in range(self.ambient.rank)]
-            )
+        for x in grp.element_coords():
+            yield self.ambient.element(mat_mul([x], emb, self.ambient.rank)[0])
 
     def as_group_with_embedding(self):
         """(H as an abstract FgGroup, rows = ambient coords of its generators).
@@ -503,22 +501,14 @@ class Homomorphism:
     def __call__(self, a: Element) -> Element:
         if a.group != self.source:
             raise GroupError("element not in the source group")
-        g = self.target.rank
         return self.target.element(
-            [sum(c * self.matrix[i][j] for i, c in enumerate(a.coords))
-             for j in range(g)]
-        )
+            mat_mul([a.coords], self.matrix, self.target.rank)[0])
 
     def image_of_subgroup(self, H: Subgroup) -> Subgroup:
         if H.ambient != self.source:
             raise GroupError("subgroup of a different group")
-        g = self.target.rank
-        rows = [
-            [sum(c * self.matrix[i][j] for i, c in enumerate(r))
-             for j in range(g)]
-            for r in H.basis
-        ]
-        return Subgroup(self.target, rows)
+        return Subgroup(self.target,
+                        mat_mul(H.basis, self.matrix, self.target.rank))
 
     def image(self) -> Subgroup:
         return self.image_of_subgroup(self.source.full_subgroup())
@@ -540,30 +530,53 @@ def _coords(x, G: FgGroup):
     return x
 
 
-def find_constrained_hom(source: FgGroup, target: FgGroup, constraints):
-    """A Homomorphism source → target with f(a) = b for each (a, b) in
-    constraints (elements, or coordinate sequences), or None.
+def _constrained_system(source: FgGroup, target: FgGroup, constraints):
+    """(A, rhs) of the homomorphisms source → target with f(a) = b for each
+    (a, b) in constraints, or None when the system has no rows.
 
     Entry j of f(v) is Σ_i v_i·x_{i,j} and is taken modulo target modulus
     t_j alone, so column j of the matrix solves A·x ≡ w_j (mod t_j) in r1
     unknowns.  The rows of A are the same for every column: d_i·e_i with
     w = 0 (so that f is well defined) and the source side of each
-    constraint.  Only w_j and t_j change from column to column, so one
-    Smith form of A solves them all (intlinalg.solve_congruence_columns).
+    constraint; rhs[j] holds the w_j.
     """
     r1, r2 = source.rank, target.rank
     pairs = [([d if k == i else 0 for k in range(r1)], [0] * r2)
              for i, d in enumerate(source.moduli) if d]
     pairs += [(_coords(a, source), _coords(b, target)) for a, b in constraints]
-    if not pairs:  # no conditions at all: the zero map is one answer
+    if not pairs:
+        return None
+    return ([list(v) for v, _ in pairs],
+            [[w[j] for _, w in pairs] for j in range(r2)])
+
+
+def find_constrained_hom(source: FgGroup, target: FgGroup, constraints):
+    """A Homomorphism source → target with f(a) = b for each (a, b) in
+    constraints (elements, or coordinate sequences), or None.
+
+    Only w_j and t_j of _constrained_system change from column to column,
+    so one Smith form of A solves them all
+    (intlinalg.solve_congruence_columns).
+    """
+    r1, r2 = source.rank, target.rank
+    system = _constrained_system(source, target, constraints)
+    if system is None:  # no conditions at all: the zero map is one answer
         return Homomorphism(source, target, [[0] * r2 for _ in range(r1)])
-    cols = solve_congruence_columns(
-        [list(v) for v, _ in pairs],
-        [[w[j] for _, w in pairs] for j in range(r2)], target.moduli)
+    cols = solve_congruence_columns(*system, target.moduli)
     if cols is None:
         return None
     return Homomorphism(source, target, [[col[i] for col in cols]
                                          for i in range(r1)])
+
+
+def constrained_hom_exists(source: FgGroup, target: FgGroup,
+                           constraints) -> bool:
+    """Whether find_constrained_hom(source, target, constraints) finds a
+    homomorphism, decided on the same system without building it
+    (intlinalg.congruence_columns_solvable)."""
+    system = _constrained_system(source, target, constraints)
+    return system is None or congruence_columns_solvable(*system,
+                                                         target.moduli)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ A·x ≡ 0 with a modulus per row, through one slack column per nonzero
 modulus.  ``solve_congruence_columns`` solves A·x ≡ b_j (mod t_j) for many
 right-hand sides of one A, each with its own modulus: one Smith form of A
 carries every column, and each is then read off row by row.
+``congruence_columns_solvable`` asks only whether it has an answer: the
+same per-row tests on a Smith form that builds no transform.
 ``solve_diophantine`` is its one-column, modulus-0 case.
 """
 
@@ -42,10 +44,11 @@ def identity_matrix(n: int) -> Matrix:
     return I
 
 
-def mat_mul(A: Matrix, B: Matrix) -> Matrix:
+def mat_mul(A: Matrix, B: Matrix, ncols: int = 0) -> Matrix:
     """A·B as a combination of B's rows per row of A, skipping A's zero
-    entries: the products here are mostly zero."""
-    n = len(B[0]) if B else 0
+    entries: the products here are mostly zero.  ``ncols`` is the number
+    of columns of a B with no rows, which B itself cannot tell."""
+    n = len(B[0]) if B else ncols
     out = []
     for row in A:
         acc = [0] * n
@@ -355,6 +358,38 @@ def congruence_lattice(A: Matrix, moduli, keep: int) -> list[list[int]]:
         (0,) * keep)
 
 
+def _carried_smith(A: Matrix, rhs, transforms):
+    """(C, diag, V) for the Smith form U·A·V = S of A that carries the
+    right-hand sides rhs (column j of B is rhs[j]): C = U·B, diag the s_i
+    with s_i = 0 past the rank (one per row of A), and V when named."""
+    n = len(A[0]) if A else 0
+    C, S, V, _ = smith_normal_form(
+        A, transforms, carry=list(zip(*rhs)) if rhs else [()] * len(A))
+    return C, [S[i][i] if i < n else 0 for i in range(len(A))], V
+
+
+def _columns_solvable(C, diag, moduli) -> bool:
+    """Whether s_i·y_i ≡ C[i][j] (mod t_j) has a solution for every row i
+    and column j: a row with s_i ≠ 0 needs gcd(s_i, t_j) | C[i][j], a row
+    past the rank C[i][j] ≡ 0 (mod t_j)."""
+    for j, t in enumerate(moduli):
+        for row, s in zip(C, diag):
+            c = row[j]
+            if s:
+                if c % gcd(s, t):
+                    return False
+            elif c % t if t else c:
+                return False
+    return True
+
+
+def congruence_columns_solvable(A: Matrix, rhs, moduli) -> bool:
+    """Whether solve_congruence_columns(A, rhs, moduli) has an answer,
+    decided from one Smith form of A that builds no transform."""
+    C, diag, _ = _carried_smith(A, rhs, ())
+    return _columns_solvable(C, diag, moduli)
+
+
 def solve_congruence_columns(A: Matrix, rhs, moduli) -> list[list[int]] | None:
     """Column j of the answer is one x with A·x ≡ rhs[j] modulo moduli[j]
     (modulus 0: exactly); None when some column has no solution.  A system
@@ -369,23 +404,19 @@ def solve_congruence_columns(A: Matrix, rhs, moduli) -> list[list[int]] | None:
     y_i = c/s_i exactly); a row past the rank needs c ≡ 0 (mod t).
     (Cohen, GTM 138, §2.4.3.)
     """
-    n = len(A[0]) if A else 0
-    C, S, V, _ = smith_normal_form(
-        A, ("V",), carry=list(zip(*rhs)) if rhs else [()] * len(A))
-    diag = [S[i][i] if i < n else 0 for i in range(len(A))]
+    C, diag, V = _carried_smith(A, rhs, ("V",))
+    if not _columns_solvable(C, diag, moduli):
+        return None
+    n = len(V)
     cols = []
     for j, t in enumerate(moduli):
         y = [0] * n
         for i, (row, s) in enumerate(zip(C, diag)):
-            c = row[j]
-            if s == 0:
-                if (c % t if t else c):
-                    return None
+            if not s:
                 continue
-            g = gcd(s, t)
-            if c % g:
-                return None
+            c = row[j]
             if t:
+                g = gcd(s, t)
                 tg = t // g
                 y[i] = c // g * pow(s // g, -1, tg) % tg
             else:

@@ -52,7 +52,7 @@ from .groups import (
     find_constrained_hom,
     quotient,
 )
-from .intlinalg import hermite_row_basis, in_lattice, pivot_product
+from .intlinalg import hermite_row_basis, in_lattice, mat_mul, pivot_product
 
 # purity.kernel_basis stays importable: perfbench's tracer test checks that a
 # wrapper installed on it here is removed again.
@@ -197,8 +197,7 @@ def complement(H: Subgroup, M: FgGroup):
     r, emb = _retraction(H, M)
     if r is None:
         return None
-    images = [[sum(c * e[k] for c, e in zip(image, emb))
-               for k in range(M.rank)] for image in r.matrix]
+    images = mat_mul(r.matrix, emb, M.rank)
     K = Subgroup(M, [[(1 if j == k else 0) - h[k] for k in range(M.rank)]
                      for j, h in enumerate(images)])
     if (not all(in_lattice(H.basis, h) for h in images)

@@ -247,4 +247,4 @@ def test_compare_verdicts_hold_in_a_gch_model():
         if any(h != (verdict is TRUE) for h in holds):
             wrong.append((card_str(a), rel, card_str(b), str(verdict), reason))
     assert wrong == []
-    assert decided == 1146
+    assert decided == 1157

@@ -15,6 +15,7 @@ from reference import (
 
 from pptor.intlinalg import (
     _with_slack,
+    congruence_columns_solvable,
     congruence_lattice,
     hermite_row_basis,
     identity_matrix,
@@ -129,6 +130,12 @@ def test_mat_mul_matches_dense_product(case):
     assert mat_mul(A, B) == [
         [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(n)]
         for i in range(len(A))]
+
+
+def test_mat_mul_takes_the_width_of_a_factor_with_no_rows():
+    assert mat_mul([[], []], [], 3) == [[0, 0, 0], [0, 0, 0]]
+    assert mat_mul([()], (), 2) == [[0, 0]]
+    assert mat_mul([[1, 2]], [[3], [4]], 5) == [[11]]  # B's rows decide
 
 
 def test_hermite_canonical():
@@ -271,12 +278,14 @@ def _congruence_columns(draw):
 @given(_congruence_columns())
 @example(([[2], [0], [0]], [[2, 0, 1]], [4]))
 @example(([[4, 2], [6, 0]], [[2, 0], [1, 1]], [6, 8]))
+@example(([[4]], [[2]], [6]))             # gcd(4, 6) | 2 although 4 ∤ 2
 def test_congruence_columns_against_enumeration(case):
     A, rhs, moduli = case
     n = len(A[0]) if A else 0
     cols = []
     for b, t in zip(rhs, moduli):
         col = solve_congruence_columns(A, [b], [t])
+        assert congruence_columns_solvable(A, [b], [t]) == (col is not None)
         if col is None:
             box = range(t) if t else range(-8, 9)
             assert not any(_solves(A, x, b, [t] * len(A))
@@ -287,6 +296,7 @@ def test_congruence_columns_against_enumeration(case):
         cols.append(col)
     # all columns at once: the same columns, or None when one has none
     together = solve_congruence_columns(A, rhs, moduli)
+    assert congruence_columns_solvable(A, rhs, moduli) == (together is not None)
     if None in cols:
         assert together is None
     else:

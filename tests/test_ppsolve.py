@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -22,6 +23,7 @@ from pptor.groups import (
     Subgroup,
     abelian_groups_upto,
     all_subgroups,
+    constrained_hom_exists,
     factorize,
 )
 from pptor.intlinalg import hermite_row_basis, in_lattice, lattice_intersection
@@ -140,6 +142,12 @@ def test_find_constrained_hom():
     assert h(M.element([1])) == N.element([2])
     assert ppsolve.find_constrained_hom(
         M, N, [(M.element([1]), N.element([1]))]) is None
+    assert not constrained_hom_exists(M, N, [(M.element([1]), N.element([1]))])
+    # gcd(s, t) | c although s ∤ c: 4 ↦ 2 from ℤ to ℤ/6 asks 4x ≡ 2 (mod 6)
+    M, N = FgGroup((0,)), FgGroup((6,))
+    h = ppsolve.find_constrained_hom(M, N, [((4,), (2,))])
+    assert h is not None and h(M.element([4])) == N.element([2])
+    assert constrained_hom_exists(M, N, [((4,), (2,))])
 
 
 def test_find_constrained_hom_without_rows():
@@ -147,7 +155,7 @@ def test_find_constrained_hom_without_rows():
     for M, N in ((FgGroup((0,)), FgGroup((2,))),
                  (FgGroup((0, 0)), FgGroup((2, 3)))):
         h = ppsolve.find_constrained_hom(M, N, [])
-        assert h is not None
+        assert h is not None and constrained_hom_exists(M, N, [])
         assert all(h(M.element(e)) == N.zero()
                    for e in ([1] * M.rank, [3] + [0] * (M.rank - 1)))
 
@@ -159,8 +167,10 @@ def test_find_constrained_hom_rejects_foreign_constraints():
                  ((), (2,)),
                  (M.element([1]), FgGroup((4,)).element([2])),
                  ((1,), (2, 0))):
-        with pytest.raises(GroupError):
+        with pytest.raises(GroupError) as solver:
             ppsolve.find_constrained_hom(M, N, [(a, b)])
+        with pytest.raises(GroupError, match=re.escape(str(solver.value))):
+            constrained_hom_exists(M, N, [(a, b)])
 
 
 def test_find_constrained_hom_free_target_coordinate():
@@ -169,11 +179,12 @@ def test_find_constrained_hom_free_target_coordinate():
             (M.element([0, 1]), N.element([3, 1])),
             (M.element([1, 2]), N.element([6, 0]))]
     h = ppsolve.find_constrained_hom(M, N, cons)
-    assert h is not None
+    assert h is not None and constrained_hom_exists(M, N, cons)
     assert all(h(a) == b for a, b in cons)
     # an element of order 4 has no nonzero image in the free coordinate
-    assert ppsolve.find_constrained_hom(
-        M, N, [(M.element([1, 0]), N.element([1, 0]))]) is None
+    bad = [(M.element([1, 0]), N.element([1, 0]))]
+    assert ppsolve.find_constrained_hom(M, N, bad) is None
+    assert not constrained_hom_exists(M, N, bad)
 
 
 _small_moduli = st.lists(st.sampled_from((1, 2, 3, 4, 6, 8)),
@@ -198,7 +209,7 @@ def test_find_constrained_hom_matches_enumeration(problem):
     h = ppsolve.find_constrained_hom(M, N, cons)
     exists = any(all(g(a) == b for a, b in cons)
                  for g in enumerate_homs(M, N))
-    assert (h is not None) == exists
+    assert (h is not None) == exists == constrained_hom_exists(M, N, cons)
     if h is not None:
         assert all(h(a) == b for a, b in cons)
 
@@ -471,13 +482,13 @@ def test_oracle_drops_only_parameters_zero_on_both_sides(monkeypatch):
     assert not ppsolve._oracle_equal_emb(zero, [[0]], N, zero, [[1]], N)
     assert not ppsolve._oracle_equal_emb(zero, [[1]], N, zero, [[0]], N)
     counts = []
-    real = ppsolve.find_constrained_hom
+    real = ppsolve.constrained_hom_exists
 
     def spy(source, target, constraints):
         counts.append(len(constraints))
         return real(source, target, constraints)
 
-    monkeypatch.setattr(ppsolve, "find_constrained_hom", spy)
+    monkeypatch.setattr(ppsolve, "constrained_hom_exists", spy)
     emb = [[0], [1], [0]]  # parameters ℤ/1 + ℤ/2 + ℤ/1
     assert ppsolve._oracle_equal_emb(one, emb, N, one, emb, N)
     assert not ppsolve._oracle_equal_emb(zero, emb, N, one, emb, N)
