@@ -12,6 +12,7 @@ statements independent of ZFC (CH and friends) are never decided.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from ._lexer import Cursor, _integer, _shown, int_digit_limit
@@ -81,16 +82,9 @@ class Power:
 ALEPH0 = Aleph(0)
 
 
-def _index_le(i, j) -> bool:
-    if i == OMEGA:
-        return j == OMEGA
-    return j == OMEGA or i <= j
-
-
-def _index_lt(i, j) -> bool:
-    if i == OMEGA:
-        return False
-    return j == OMEGA or i < j
+def _rank(i):
+    """The order of ordinal indices: ω above every integer."""
+    return math.inf if i == OMEGA else i
 
 
 def is_infinite(e) -> bool:
@@ -145,7 +139,7 @@ def beth_of(e):
             if not base_ok:
                 # κ^ℶ_j = ℶ_{j+1} also when 2 ≤ κ ≤ ℶ_{j+1}, e.g. κ = ℶ_i, i ≤ j+1
                 bi = beth_of(e.base)
-                base_ok = bi is not None and _index_le(bi, j)
+                base_ok = bi is not None and _rank(bi) <= j
             if base_ok:
                 return j + 1
     return None
@@ -165,11 +159,11 @@ def prove_le(a, b, depth: int = 0):
     if isinstance(a, Finite) and is_infinite(b):
         return "finite below infinite"
     ia, ib = beth_of(a), beth_of(b)
-    if ia is not None and ib is not None and _index_le(ia, ib):
+    if ia is not None and ib is not None and _rank(ia) <= _rank(ib):
         return "beth monotonicity"
-    if isinstance(a, Aleph) and isinstance(b, Aleph) and _index_le(a.i, b.i):
+    if isinstance(a, Aleph) and isinstance(b, Aleph) and _rank(a.i) <= _rank(b.i):
         return "aleph monotonicity"
-    if isinstance(a, Aleph) and ib is not None and _index_le(a.i, ib):
+    if isinstance(a, Aleph) and ib is not None and _rank(a.i) <= _rank(ib):
         return "aleph below beth"  # ℵ_i ≤ ℶ_i
     if ia == 0 and is_infinite(b):
         return "aleph0 least infinite"
@@ -215,11 +209,11 @@ def prove_lt(a, b, depth: int = 0):
     if isinstance(a, Finite) and is_infinite(b):
         return "finite below infinite"
     ia, ib = beth_of(a), beth_of(b)
-    if ia is not None and ib is not None and _index_lt(ia, ib):
+    if ia is not None and ib is not None and _rank(ia) < _rank(ib):
         return "beth strictly increasing"
-    if isinstance(a, Aleph) and isinstance(b, Aleph) and _index_lt(a.i, b.i):
+    if isinstance(a, Aleph) and isinstance(b, Aleph) and _rank(a.i) < _rank(b.i):
         return "aleph strictly increasing"
-    if isinstance(a, Aleph) and ib is not None and _index_lt(a.i, ib):
+    if isinstance(a, Aleph) and ib is not None and _rank(a.i) < _rank(ib):
         return "aleph below beth"
     if isinstance(b, Power) and _ge_two(b.base):
         if prove_le(a, b.exp, depth + 1):
@@ -317,9 +311,9 @@ def _sort_key(e):
     if isinstance(e, Finite):
         return (0, e.n)
     if isinstance(e, Aleph):
-        return (1, 99 if e.i == OMEGA else e.i)
+        return (1, _rank(e.i))
     if isinstance(e, Beth):
-        return (2, 99 if e.i == OMEGA else e.i)
+        return (2, _rank(e.i))
     if isinstance(e, Var):
         return (3, e.name)
     if isinstance(e, Power):

@@ -1,50 +1,26 @@
-"""Low-pp descending chains: evaluation, stabilization detection, and the
-strict-descent witness chain on truncations of B = ⊕_n ℤ(pⁿ)^k.
+"""Low-pp descending chains: stabilization detection, and the strict-descent
+witness chain on truncations of B = ⊕_n ℤ(pⁿ)^k.
 
-The witness chain is φ_n(x) := (p·x = 0 ∧ ∃y. x = pⁿ·y); φ₀ is low and on
-the truncation B = ⊕_{m≤M0}(ℤ/p^m)^k the chain descends strictly with
-index p^k per step until it hits 0 at n = M0.
+A chain is its list of formulas φ_0, φ_1, …; its levels φ_n[M] are
+evaluated once by the caller.  The witness chain is
+φ_n(x) := (p·x = 0 ∧ ∃y. x = pⁿ·y); φ₀ is low and on the truncation
+B = ⊕_{m≤M0}(ℤ/p^m)^k the chain descends strictly with index p^k per step
+until it hits 0 at n = M0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
-
-from .formulas import Equation, PpFormula, is_low
-from .groups import MAX_RANK, FgGroup, Subgroup, direct_sum
-from .ppsolve import evaluate
+from .formulas import Equation, PpFormula
+from .groups import MAX_RANK, FgGroup, direct_sum
 
 
-@dataclass
-class FormulaChain:
-    """Closed-form chain n ↦ φ_n(x); low_head records is_low(template(0))."""
-
-    template: Callable[[int], PpFormula]
-    low_head: bool = field(init=False)
-
-    def __post_init__(self):
-        f0 = self.template(0)
-        if len(f0.free_vars) != 1:
-            raise ValueError("chain formulas must have one free variable")
-        self.low_head = is_low(f0)
-
-    def __call__(self, n: int) -> PpFormula:
-        return self.template(n)
-
-
-def evaluate_chain(c: FormulaChain, M: FgGroup, n_max: int) -> list[Subgroup]:
-    """The levels φ_0[M], …, φ_{n_max}[M]."""
-    return [evaluate(c(n), M) for n in range(n_max + 1)]
-
-
-def stabilization_index(c: FormulaChain, M: FgGroup, n_max: int):
-    """Least n₀ with φ_{n₀}[M] = … = φ_{n_max}[M], or None."""
-    levels = evaluate_chain(c, M, n_max)
-    if n_max >= 1 and levels[n_max - 1] != levels[n_max]:
-        return None  # still moving at the end of the range
-    n0 = n_max
-    while n0 > 0 and levels[n0 - 1] == levels[n_max]:
+def stabilization_index(levels):
+    """Least n₀ with levels[n₀] = … = levels[-1], or None when the last two
+    levels differ (the chain is still moving at the end of the range)."""
+    if len(levels) >= 2 and levels[-2] != levels[-1]:
+        return None
+    n0 = len(levels) - 1
+    while n0 > 0 and levels[n0 - 1] == levels[-1]:
         n0 -= 1
     return n0
 
@@ -56,9 +32,9 @@ def witness_formula(p: int, n: int) -> PpFormula:
     return PpFormula(("x",), ("y",), (eq1, eq2))
 
 
-def witness_chain(p: int, M0: int, k: int) -> tuple[FormulaChain, FgGroup]:
-    """The Theorem-ss witness chain and its truncated group
-    B = ⊕_{m≤M0} (ℤ/p^m)^k."""
+def witness_chain(p: int, M0: int, k: int) -> tuple[list[PpFormula], FgGroup]:
+    """The Theorem-ss witness chain [φ_0, …, φ_{M0+1}], one step past its
+    last strict descent, and its truncated group B = ⊕_{m≤M0} (ℤ/p^m)^k."""
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
     if M0 < 1 or k < 1:
@@ -67,4 +43,4 @@ def witness_chain(p: int, M0: int, k: int) -> tuple[FormulaChain, FgGroup]:
         raise ValueError(
             f"rank M0·k = {M0 * k} of B exceeds the limit {MAX_RANK}")
     B = direct_sum(*[FgGroup((p ** m,) * k) for m in range(1, M0 + 1)])
-    return FormulaChain(lambda n: witness_formula(p, n)), B
+    return [witness_formula(p, n) for n in range(M0 + 2)], B

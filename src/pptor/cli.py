@@ -180,24 +180,24 @@ def cmd_complement(args):
 
 def cmd_chain(args):
     from . import chains, ppsolve
-    from .formulas import print_formula
+    from .formulas import is_low, print_formula
 
     p, M0, k = args.witness
     if p < 2 or M0 < 1 or k < 1:
         raise CliError("need p >= 2, M0 >= 1, k >= 1")
     chain, B = chains.witness_chain(p, M0, k)
-    n_max = M0 + 1
-    orders = [S.order() for S in chains.evaluate_chain(chain, B, n_max)]
-    stab = chains.stabilization_index(chain, B, n_max)
+    levels = [ppsolve.evaluate(f, B) for f in chain]
+    orders = [S.order() for S in levels]
+    stab = chains.stabilization_index(levels)
     result = {"p": p, "M0": M0, "k": k, "group": _group_desc(B),
-              "formula": print_formula(chain(0)),
+              "formula": print_formula(chain[0]),
               "orders": orders, "stabilization_index": stab}
     lines = [f"B = {_type_str(B)}",
-             f"φ_0 = {print_formula(chain(0))}  (low: {chain.low_head})",
+             f"φ_0 = {print_formula(chain[0])}  (low: {is_low(chain[0])})",
              "orders: " + " ≥ ".join(map(str, orders)),
              f"stabilization index: {stab if stab is not None else 'not found'}"]
     if args.indices:
-        idx = [ppsolve.index(chain(n), chain(n + 1), B) for n in range(n_max)]
+        idx = [b.index_in(a) for a, b in zip(levels, levels[1:])]
         result["indices"] = idx
         lines.append("indices [φ_n[B] : φ_{n+1}[B]]: " + ", ".join(map(str, idx)))
     return result, None, lines

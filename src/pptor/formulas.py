@@ -307,11 +307,10 @@ def witness_over_z(f: PpFormula, a: int) -> list[int] | None:
 # closure operations on low formulas
 
 
-def _fresh_names(count: int, used: set[str], base: str = "y") -> list[str]:
+def _fresh_names(count: int, used: set[str]) -> list[str]:
     names = []
     i = 0
-    candidates = ["y", "z", "w", "u", "v", "s", "t"] if base == "y" else []
-    for cand in candidates:
+    for cand in ("y", "z", "w", "u", "v", "s", "t"):
         if len(names) == count:
             break
         if cand not in used:
@@ -319,7 +318,7 @@ def _fresh_names(count: int, used: set[str], base: str = "y") -> list[str]:
             used.add(cand)
     while len(names) < count:
         i += 1
-        cand = f"{base}{i}"
+        cand = f"y{i}"
         if cand not in used:
             names.append(cand)
             used.add(cand)
@@ -365,7 +364,7 @@ def scalar_formula(r: int, f: PpFormula) -> PpFormula:
     _check_one_free(f)
     x = f.free_vars[0]
     used = {x}
-    (y,) = _fresh_names(1, used, base="y")
+    (y,) = _fresh_names(1, used)
     b, eqs = _renamed_equations(f, y, used)
     link = Equation(((1, x),), ((r, y),))
     return PpFormula((x,), (y, *b), (*eqs, link))

@@ -647,9 +647,6 @@ def _group_error(message: str, line: int, col: int) -> GroupError:
 
 def _partitions(n: int):
     """Partitions of n as non-increasing tuples."""
-    if n == 0:
-        yield ()
-        return
     def rec(n, maxpart):
         if n == 0:
             yield ()

@@ -147,18 +147,18 @@ def check_witness_chain():
         for M0 in range(1, 9):
             for k in range(1, 4):
                 chain, B = chains.witness_chain(p, M0, k)
-                if not chain.low_head:
+                if not is_low(chain[0]):
                     return False, f"φ₀ not low at (p={p})"
-                levels = chains.evaluate_chain(chain, B, M0 + 1)
+                levels = [ppsolve.evaluate(f, B) for f in chain]
                 orders = [s.order() for s in levels]
                 want = [p ** (k * (M0 - n)) for n in range(M0 + 1)] + [1]
                 if orders != want:
                     return False, f"orders {orders} ≠ {want} at {(p, M0, k)}"
                 for n in range(M0):
-                    idx = ppsolve.index(chain(n), chain(n + 1), B)
+                    idx = ppsolve.index(chain[n], chain[n + 1], B)
                     if idx != p ** k or idx < 2:
                         return False, f"index {idx} at {(p, M0, k)}, level {n}"
-                if chains.stabilization_index(chain, B, M0 + 1) != M0:
+                if chains.stabilization_index(levels) != M0:
                     return False, f"stabilization not at M0 for {(p, M0, k)}"
                 cases += 1
     return True, f"{cases} (p, M0, k) cases"

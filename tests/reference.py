@@ -274,13 +274,12 @@ def witness_b_elements(p: int, M0: int) -> list[Element]:
     """The proof's elements b_n = a_0 + a_1 + ⋯ + a_{n−1} (k = 1), where
     a_n ∈ φ_n[B] \\ φ_{n+1}[B]; existence of each a_n is verified."""
     chain, B = witness_chain(p, M0, 1)
+    levels = [evaluate(f, B) for f in chain]
     a = []
     for n in range(M0):
-        Sn = evaluate(chain(n), B)
-        Sn1 = evaluate(chain(n + 1), B)
         found = None
-        for e in Sn.elements():
-            if not Sn1.contains(e):
+        for e in levels[n].elements():
+            if not levels[n + 1].contains(e):
                 found = e
                 break
         if found is None:

@@ -145,6 +145,18 @@ def test_normalize_idempotent_fuzz():
         assert parse_cardinal(card_str(n1)) == n1
 
 
+def test_normal_form_does_not_depend_on_the_order_of_arguments():
+    """ω ranks above every integer index, so ℵ_99 and ℵ_ω (ℶ_99 and ℶ_ω)
+    never tie in the sort of a sum's or a product's arguments."""
+    atoms = [Aleph(99), Aleph("w"), Beth(99), Beth("w"), Var("κ"), Var("λ"),
+             Finite(2)]
+    pairs = list(itertools.product(atoms, repeat=2))
+    terms = atoms + [Power(a, b) for a, b in pairs] + [Prod(p) for p in pairs]
+    for a, b in itertools.product(terms, repeat=2):
+        assert normalize(Sum((a, b))) == normalize(Sum((b, a)))
+        assert normalize(Prod((a, b))) == normalize(Prod((b, a)))
+
+
 def test_order_theorems():
     assert lt(ALEPH0, parse_cardinal("2^aleph0"))[0] == TRUE       # Cantor
     assert lt(parse_cardinal("beth(w)"),

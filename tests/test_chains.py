@@ -20,7 +20,8 @@ def test_witness_formula_shape():
 def test_witness_chain_group():
     chain, B = chains.witness_chain(2, 3, 2)
     assert is_isomorphic(B, FgGroup((2, 2, 4, 4, 8, 8)))
-    assert chain.low_head
+    assert chain == [chains.witness_formula(2, n) for n in range(5)]
+    assert is_low(chain[0])
 
 
 def test_witness_chain_rejects_bad_parameters():
@@ -36,25 +37,27 @@ def test_witness_chain_rejects_bad_parameters():
 
 def test_chain_descent_and_stabilization():
     chain, B = chains.witness_chain(2, 3, 1)
-    levels = chains.evaluate_chain(chain, B, 4)
+    levels = [ppsolve.evaluate(f, B) for f in chain]
     orders = [S.order() for S in levels]
     assert orders == [8, 4, 2, 1, 1]
     for a, b in zip(levels, levels[1:]):
         assert b <= a
-    assert chains.stabilization_index(chain, B, 4) == 3
+    assert chains.stabilization_index(levels) == 3
 
 
 def test_chain_indices_are_p_to_k():
     for p, k in ((2, 1), (2, 3), (3, 2)):
         chain, B = chains.witness_chain(p, 2, k)
         for n in range(2):
-            assert ppsolve.index(chain(n), chain(n + 1), B) == p ** k
+            assert ppsolve.index(chain[n], chain[n + 1], B) == p ** k
 
 
 def test_stabilization_not_found_when_still_moving():
     chain, B = chains.witness_chain(2, 5, 1)
     # range ends while the chain is still strictly descending
-    assert chains.stabilization_index(chain, B, 3) is None
+    levels = [ppsolve.evaluate(f, B) for f in chain[:4]]
+    assert chains.stabilization_index(levels) is None
+    assert chains.stabilization_index(levels[:1]) == 0
 
 
 def test_witness_b_elements():
@@ -63,8 +66,8 @@ def test_witness_b_elements():
     assert len(bs) == 5  # partial sums b_0 = 0 through b_4
     for n in range(4):
         a = bs[n + 1] + (-bs[n])
-        assert ppsolve.evaluate(chain(n), B).contains(a)
-        assert not ppsolve.evaluate(chain(n + 1), B).contains(a)
+        assert ppsolve.evaluate(chain[n], B).contains(a)
+        assert not ppsolve.evaluate(chain[n + 1], B).contains(a)
 
 
 def test_witness_b_elements_reports_failed_descent(monkeypatch):
@@ -75,9 +78,10 @@ def test_witness_b_elements_reports_failed_descent(monkeypatch):
 
 
 def test_generic_formula_chain():
-    template = lambda n: parse(f"3*x = 0 & E y. x = {3 ** n}*y") \
-        if n else parse("3*x = 0")
-    chain = chains.FormulaChain(template)
+    chain = [parse("3*x = 0")] + [parse(f"3*x = 0 & E y. x = {3 ** n}*y")
+                                  for n in range(1, 4)]
     B = FgGroup((27,))
-    levels = chains.evaluate_chain(chain, B, 3)
+    levels = [ppsolve.evaluate(f, B) for f in chain]
     assert [S.order() for S in levels] == [3, 3, 3, 1]
+    assert chains.stabilization_index(levels) is None
+    assert chains.stabilization_index(levels[:3]) == 0

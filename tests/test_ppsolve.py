@@ -1,6 +1,7 @@
 import random
 import re
 import time
+from math import gcd
 
 import pytest
 from hypothesis import assume, given
@@ -20,6 +21,7 @@ from pptor.formulas import Equation, PpFormula, normalize, parse
 from pptor.groups import (
     FgGroup,
     GroupError,
+    Homomorphism,
     Subgroup,
     abelian_groups_upto,
     all_subgroups,
@@ -191,16 +193,38 @@ _small_moduli = st.lists(st.sampled_from((1, 2, 3, 4, 6, 8)),
                          min_size=1, max_size=2)
 
 
+_two_prime_moduli = st.lists(st.sampled_from((6, 12)), min_size=1, max_size=2)
+_prime_power_moduli = st.lists(st.sampled_from((2, 3, 4, 8)), min_size=1,
+                               max_size=2)
+
+
 @st.composite
 def _constrained_hom_problems(draw):
-    M, N = FgGroup(tuple(draw(_small_moduli))), FgGroup(tuple(draw(_small_moduli)))
+    """M → N with up to two constraints a ↦ b.
+
+    Half the problems are solvable by construction, and they are where a
+    congruence test can go wrong: M has moduli 6 and 12, N prime powers,
+    each a is 2 or 3 times a drawn element, and b = g(a) for one drawn
+    homomorphism g.  A Smith row s·y ≡ c (mod t) of such a system often has
+    s ∤ c but gcd(s, t) | c, as for 3 ↦ 1 from ℤ/6 to ℤ/2.
+    """
+    solvable = draw(st.booleans())
+    M = FgGroup(tuple(draw(_two_prime_moduli if solvable else _small_moduli)))
+    N = FgGroup(tuple(draw(_prime_power_moduli if solvable
+                           else _small_moduli)))
 
     def element(G):
         return G.element(draw(st.lists(st.integers(-9, 9), min_size=G.rank,
                                        max_size=G.rank)))
 
-    cons = [(element(M), element(N)) for _ in range(draw(st.integers(0, 2)))]
-    return M, N, cons
+    sources = [element(M) for _ in range(draw(st.integers(0, 2)))]
+    if not solvable:
+        return M, N, [(a, element(N)) for a in sources]
+    # generator i, of order d, goes to multiples of t_j/gcd(d, t_j)
+    g = Homomorphism(M, N, [[draw(st.integers(1, 7)) * (t // gcd(d, t))
+                             for t in N.moduli] for d in M.moduli])
+    sources = [draw(st.sampled_from((2, 3))) * a for a in sources]
+    return M, N, [(a, g(a)) for a in sources]
 
 
 @given(_constrained_hom_problems())
