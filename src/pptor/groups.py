@@ -515,7 +515,8 @@ class Homomorphism:
 
 
 # ---------------------------------------------------------------------------
-# constrained homomorphisms: the pp-type oracle and purity's retractions
+# constrained homomorphisms: the pp-type oracle and purity's retractions,
+# solved one target modulus at a time, with no well-definedness rows
 
 
 def _coords(x, G: FgGroup):
@@ -530,53 +531,74 @@ def _coords(x, G: FgGroup):
     return x
 
 
-def _constrained_system(source: FgGroup, target: FgGroup, constraints):
-    """(A, rhs) of the homomorphisms source → target with f(a) = b for each
-    (a, b) in constraints, or None when the system has no rows.
+def _modulus_systems(source: FgGroup, target: FgGroup, constraints):
+    """The homomorphisms source → target with f(a) = b for each (a, b) in
+    constraints, as one congruence system per distinct target modulus t:
+    a list of (t, js, live, A, rhs), or None when a modulus with no system
+    already refuses.
 
-    Entry j of f(v) is Σ_i v_i·x_{i,j} and is taken modulo target modulus
-    t_j alone, so column j of the matrix solves A·x ≡ w_j (mod t_j) in r1
-    unknowns.  The rows of A are the same for every column: d_i·e_i with
-    w = 0 (so that f is well defined) and the source side of each
-    constraint; rhs[j] holds the w_j.
+    Entry j of f(v) is Σ_i v_i·x_{i,j}, taken modulo t_j alone.  f is well
+    defined iff d_i·x_{i,j} ≡ 0 (mod t_j) for source modulus d_i, i.e.
+    Hom(ℤ/d_i, ℤ/t) = u_i·ℤ/t with u_i = t/gcd(d_i, t) (u_i = 1 when
+    d_i = t = 0).  Writing x_{i,j} = u_i·y_{i,j} meets that condition, and
+    x_{i,j} is forced to 0 when u_i = t (for t = 0: when d_i ≠ 0).  The
+    other source coordinates are live: live holds their (i, u_i), and
+    A·y ≡ rhs[c] (mod t) is the system of target column js[c], with one
+    row (v_i·u_i for each live i) per constraint v ↦ w.  A modulus with no live unknown, or no
+    constraint, has no system: its columns are 0, which answers iff every
+    right-hand side is ≡ 0 (mod t).
     """
-    r1, r2 = source.rank, target.rank
-    pairs = [([d if k == i else 0 for k in range(r1)], [0] * r2)
-             for i, d in enumerate(source.moduli) if d]
-    pairs += [(_coords(a, source), _coords(b, target)) for a, b in constraints]
-    if not pairs:
-        return None
-    return ([list(v) for v, _ in pairs],
-            [[w[j] for _, w in pairs] for j in range(r2)])
+    pairs = [(_coords(a, source), _coords(b, target)) for a, b in constraints]
+    columns: dict[int, list[int]] = {}
+    for j, t in enumerate(target.moduli):
+        columns.setdefault(t, []).append(j)
+    systems = []
+    for t, js in columns.items():
+        live = []
+        for i, d in enumerate(source.moduli):
+            u = t // gcd(d, t) if d or t else 1
+            if u != t:
+                live.append((i, u))
+        rhs = [[w[j] for _, w in pairs] for j in js]
+        if live and pairs:
+            systems.append((t, js, live,
+                            [[v[i] * u for i, u in live] for v, _ in pairs],
+                            rhs))
+        elif any(c % t if t else c for col in rhs for c in col):
+            return None
+    return systems
 
 
 def find_constrained_hom(source: FgGroup, target: FgGroup, constraints):
     """A Homomorphism source → target with f(a) = b for each (a, b) in
     constraints (elements, or coordinate sequences), or None.
 
-    Only w_j and t_j of _constrained_system change from column to column,
-    so one Smith form of A solves them all
-    (intlinalg.solve_congruence_columns).
+    Each target modulus has its own small system (_modulus_systems), whose
+    columns share one Smith form (intlinalg.solve_congruence_columns).
     """
-    r1, r2 = source.rank, target.rank
-    system = _constrained_system(source, target, constraints)
-    if system is None:  # no conditions at all: the zero map is one answer
-        return Homomorphism(source, target, [[0] * r2 for _ in range(r1)])
-    cols = solve_congruence_columns(*system, target.moduli)
-    if cols is None:
+    systems = _modulus_systems(source, target, constraints)
+    if systems is None:
         return None
-    return Homomorphism(source, target, [[col[i] for col in cols]
-                                         for i in range(r1)])
+    matrix = [[0] * target.rank for _ in range(source.rank)]
+    for t, js, live, A, rhs in systems:
+        cols = solve_congruence_columns(A, rhs, [t] * len(js))
+        if cols is None:
+            return None
+        for j, y in zip(js, cols):
+            for (i, u), c in zip(live, y):
+                matrix[i][j] = u * c
+    return Homomorphism(source, target, matrix)
 
 
 def constrained_hom_exists(source: FgGroup, target: FgGroup,
                            constraints) -> bool:
     """Whether find_constrained_hom(source, target, constraints) finds a
-    homomorphism, decided on the same system without building it
+    homomorphism, decided on the same systems without building it
     (intlinalg.congruence_columns_solvable)."""
-    system = _constrained_system(source, target, constraints)
-    return system is None or congruence_columns_solvable(*system,
-                                                         target.moduli)
+    systems = _modulus_systems(source, target, constraints)
+    return systems is not None and all(
+        congruence_columns_solvable(A, rhs, [t] * len(js))
+        for t, js, _, A, rhs in systems)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ bidirectional homomorphism oracle, valid because finite abelian groups are
 pure-injective.  The oracle is authoritative; the acceptance suite pins
 their agreement.  In N = ⊕ ℤ/m_j the subgroup p^k N + N[p^l] is diagonal,
 so the descriptor reads each membership from the p-valuations of the
-coordinates of a − m, with no lattice algebra; the oracle passes its
-constraints to constrained_hom_exists as coordinate tuples, which decides
-each direction without building the homomorphism.
+coordinates of a − m, with no lattice algebra; the oracle passes the
+embedding rows, as they are, to constrained_hom_exists, which decides each
+direction without building the homomorphism, one small congruence system
+per distinct target modulus.
 """
 
 from __future__ import annotations
@@ -285,11 +286,14 @@ def _oracle_equal_emb(a1, emb1, N1, a2, emb2, N2) -> bool:
     """The oracle with the parameter group identified: row i of emb1 and of
     emb2 are the ambient coordinates of the same parameter generator.
 
-    A generator that is zero on both sides (a coordinate ℤ/1 of the
-    parameter group) asks only 0 ↦ 0, which every homomorphism meets, so
-    its pair is dropped; a pair with one zero side still constrains."""
-    cons12 = [(N1.reduce_coords(r1), N2.reduce_coords(r2))
-              for r1, r2 in zip(emb1, emb2) if any(r1) or any(r2)]
+    The rows are passed as they are, unreduced: on a source coordinate of
+    modulus d every unknown is a multiple of u with u·d ≡ 0 (mod t), so
+    the source side is reduced implicitly, and the congruence modulo t
+    reduces the target side.  A generator whose rows are zero on both
+    sides (a coordinate ℤ/1 of the parameter group) asks only 0 ↦ 0,
+    which every homomorphism meets, so its pair is dropped; a pair with
+    one zero side still constrains."""
+    cons12 = [(r1, r2) for r1, r2 in zip(emb1, emb2) if any(r1) or any(r2)]
     cons12.append((a1, a2))
     cons21 = [(b, a) for a, b in cons12]
     return (constrained_hom_exists(N1, N2, cons12)

@@ -216,12 +216,17 @@ def annihilator_rows(G: FgGroup, n: int) -> list[list[int]]:
 def enumerate_homs(source: FgGroup, target: FgGroup):
     """All homomorphisms source → target by DFS over generator images.
 
-    Independent cross-check for find_constrained_hom; finite groups only.
+    Independent cross-check for find_constrained_hom; the target must be
+    finite.  A generator of order d goes to each element of target[d], a ℤ
+    generator to each element of the target.
     """
-    if not (source.is_finite and target.is_finite):
-        raise GroupError("hom enumeration requires finite groups")
+    if not target.is_finite:
+        raise GroupError("hom enumeration requires a finite target")
     cand = []
     for d in source.moduli:
+        if d == 0:
+            cand.append([list(c) for c in target.element_coords()])
+            continue
         opts = []
         seen = set()
         H = Subgroup(target, annihilator_rows(target, d))

@@ -150,6 +150,18 @@ def test_find_constrained_hom():
     h = ppsolve.find_constrained_hom(M, N, [((4,), (2,))])
     assert h is not None and h(M.element([4])) == N.element([2])
     assert constrained_hom_exists(M, N, [((4,), (2,))])
+    # 1 ↦ b from ℤ/d to ℤ/t, b a multiple of t/gcd(d, t): forced to 0 when
+    # gcd(d, t) = 1, a shared factor, and torsion into ℤ
+    for d, t, b, found in ((3, 2, 1, False), (3, 2, 0, True),
+                           (4, 6, 3, True), (4, 6, 2, False),
+                           (4, 0, 0, True), (4, 0, 1, False),
+                           (4, 0, 4, False)):
+        M, N = FgGroup((d,)), FgGroup((t,))
+        h = ppsolve.find_constrained_hom(M, N, [((1,), (b,))])
+        assert (h is not None) == found
+        assert constrained_hom_exists(M, N, [((1,), (b,))]) == found
+        if found:
+            assert h(M.element([1])) == N.element([b])
 
 
 def test_find_constrained_hom_without_rows():
@@ -193,23 +205,27 @@ _small_moduli = st.lists(st.sampled_from((1, 2, 3, 4, 6, 8)),
                          min_size=1, max_size=2)
 
 
-_two_prime_moduli = st.lists(st.sampled_from((6, 12)), min_size=1, max_size=2)
+_source_moduli = st.lists(st.sampled_from((0, 1, 2, 3, 4, 6, 8)),
+                          min_size=1, max_size=2)
+_two_prime_moduli = st.lists(st.sampled_from((0, 6, 12)), min_size=1,
+                             max_size=2)
 _prime_power_moduli = st.lists(st.sampled_from((2, 3, 4, 8)), min_size=1,
                                max_size=2)
 
 
 @st.composite
 def _constrained_hom_problems(draw):
-    """M → N with up to two constraints a ↦ b.
+    """M → N with up to two constraints a ↦ b; N is finite, and M may have
+    a ℤ coordinate (modulus 0).
 
     Half the problems are solvable by construction, and they are where a
-    congruence test can go wrong: M has moduli 6 and 12, N prime powers,
+    congruence test can go wrong: M has moduli 6, 12 and 0, N prime powers,
     each a is 2 or 3 times a drawn element, and b = g(a) for one drawn
     homomorphism g.  A Smith row s·y ≡ c (mod t) of such a system often has
     s ∤ c but gcd(s, t) | c, as for 3 ↦ 1 from ℤ/6 to ℤ/2.
     """
     solvable = draw(st.booleans())
-    M = FgGroup(tuple(draw(_two_prime_moduli if solvable else _small_moduli)))
+    M = FgGroup(tuple(draw(_two_prime_moduli if solvable else _source_moduli)))
     N = FgGroup(tuple(draw(_prime_power_moduli if solvable
                            else _small_moduli)))
 
