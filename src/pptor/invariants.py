@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from . import cardinals as C
 from .groups import FgGroup, GroupError, direct_sum, factorize
 
 
@@ -88,6 +87,8 @@ def limit_model_template(lam, cof_class: str, variant="Tor") -> LimitModelTempla
     The two cofinality classes differ exactly by a ^(aleph0) power on the
     torsion-of-pure-injective summand.
     """
+    from . import cardinals as C
+
     if cof_class not in ("w", "w1"):
         raise GroupError("cof_class must be 'w' or 'w1'")
     lam = C.normalize(lam)

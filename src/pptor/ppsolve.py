@@ -9,11 +9,13 @@ canonical descriptor (memberships a − m ∈ p^k N + N[p^l]) and an exact
 bidirectional homomorphism oracle, valid because finite abelian groups are
 pure-injective.  The oracle is authoritative; the acceptance suite pins
 their agreement.  In N = ⊕ ℤ/m_j the subgroup p^k N + N[p^l] is diagonal,
-so the descriptor reads each membership from the p-valuations of the
-coordinates of a − m, with no lattice algebra; the oracle passes the
-embedding rows, as they are, to constrained_hom_exists, which decides each
-direction without building the homomorphism, one small congruence system
-per distinct target modulus.
+so the descriptor reads, from the p-valuations of the coordinates of
+a − m and with no lattice algebra, each parameter's levels L_m(k), the
+least l with a − m ∈ p^k N + N[p^l], and keeps them up to the least k
+from which none changes.  The oracle passes the embedding rows, as they
+are, to constrained_hom_exists, which decides each direction without
+building the homomorphism, one small congruence system per distinct target
+modulus.
 """
 
 from __future__ import annotations
@@ -116,45 +118,27 @@ def index(f: PpFormula, g: PpFormula, M: FgGroup):
 
 @dataclass(frozen=True)
 class PpTypeDescriptor:
-    """Canonical table of the conditions a − m ∈ p^k N + N[p^l] that a
+    """Canonical key of the conditions a − m ∈ p^k N + N[p^l] that a
     satisfies over M inside N.
 
     That family generates every pp-definable subgroup of a finite abelian
-    group (the lattice generated by the two chains p^k N and N[p^l]), so the
-    table pins the pp-type.  T(k, l) is the set of parameters m (abstract
-    coordinates of the parameter group) meeting the condition: with
-    e_j = v_p(m_j) and w_j the p-valuation of coordinate j of a − m, capped
-    at e_j, those m for which every j has w_j ≥ k or w_j + l ≥ e_j.  Beyond
-    K_p = v_p(exp N) the table repeats its K_p row and column.  Each prime
-    keeps T only up to its least clamp K, the least K with
-    T(k, l) = T(min(k, K), min(l, K)) for all k, l, and primes with K = 0
-    (every entry full) are dropped.  So `==` and `hash` are pp-type
+    group (the lattice generated by the two chains p^k N and N[p^l]), so it
+    pins the pp-type.  For a parameter m (abstract coordinates of the
+    parameter group) and a prime p, L_m(k) is the least l with
+    a − m ∈ p^k N + N[p^l]; L_m(0) = 0, and L_m is non-decreasing in k and
+    constant from K_p = v_p(exp N) on.  Each prime keeps one row
+    (L_m(1), …, L_m(r)) per parameter, in the order of Mg.elements(),
+    where r is the least k from which no parameter's level changes; primes
+    with r = 0 (every level 0) are dropped.  The rows hold the levels as
+    values and r does not depend on K_p, so `==` and `hash` are pp-type
     equality over the same parameter group, whatever the exponents of the
     ambients.
     """
 
     m_moduli: tuple[int, ...]
-    # (p, T) per kept prime, ascending p; T[k][l] for 0 ≤ k, l ≤ K
-    tables: tuple[tuple[int, tuple[tuple[frozenset, ...], ...]], ...]
-
-
-def _trimmed(T):
-    """The square n × n table T cut to its least clamp K (K + 1 rows).
-
-    T(k, l) = T(min(k, K), min(l, K)) for all k, l holds exactly when rows
-    K, …, n − 1 all equal the last row and columns K, …, n − 1 all equal
-    the last column, so K is the larger of the least such row index and
-    the least such column index: O(n²) comparisons of entries.
-    """
-    last = len(T) - 1
-    r = last
-    while r and T[r - 1] == T[last]:
-        r -= 1
-    c = last
-    while c and all(row[c - 1] == row[last] for row in T):
-        c -= 1
-    K = max(r, c)
-    return tuple(row[:K + 1] for row in T[:K + 1])
+    # (p, rows) per kept prime, ascending p; rows[i][k − 1] = L_m(k) for
+    # the i-th parameter m and 1 ≤ k ≤ r
+    tables: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
 
 
 def _capped_valuation(n: int, p: int, cap: int) -> int:
@@ -187,6 +171,17 @@ def _mixed_sum_levels(d, e, p: int, kmax: int) -> list[int]:
     return levels
 
 
+def _clamped_rows(levels) -> tuple[tuple[int, ...], ...]:
+    """Each non-decreasing row L(0) = 0, …, L(K) of levels as its entries
+    L(1), …, L(r), r the least k from which no row changes."""
+    r = len(levels[0]) - 1
+    while r and all(lv[r - 1] == lv[r] for lv in levels):
+        r -= 1
+    # a list, not a generator: CPython resizes tuple(generator) from a
+    # guessed length, so freed keys would pile up in its tuple free lists
+    return tuple([tuple(lv[1:r + 1]) for lv in levels])
+
+
 def pp_type_descriptor(a: Element, M: Subgroup, N: FgGroup,
                        check_purity: bool = True,
                        identification=None) -> PpTypeDescriptor:
@@ -199,8 +194,9 @@ def pp_type_descriptor(a: Element, M: Subgroup, N: FgGroup,
 
     The parameters m run over Mg's coordinate tuples in the order of
     Mg.elements(), and each a − m is the one before it minus an embedding
-    row.  For each prime the levels of every a − m are bucketed once per
-    k, so each row T(k, ·) is a chain of prefix unions of the buckets.
+    row.  For each prime p, L_m(0), …, L_m(K) (K = v_p(exp N)) are read
+    off the p-valuations of a − m, and every row is cut at the least r
+    from which no parameter's level changes.
     """
     if a.group != N or (isinstance(M, Subgroup) and M.ambient != N):
         raise PpSolveError("element/parameter group not inside the ambient group")
@@ -215,9 +211,8 @@ def pp_type_descriptor(a: Element, M: Subgroup, N: FgGroup,
         Mg, emb = M.as_group_with_embedding()
     else:
         Mg, emb = identification
-    params = list(Mg.element_coords())
     moduli = N.moduli
-    # coordinates of a − m in N, m in the order of params: the last
+    # coordinates of a − m in N, m in the order of Mg.elements(): the last
     # coordinate of m runs fastest, so each step subtracts its row once more
     diffs = [[x % t for x, t in zip(a.coords, moduli)]]
     for row, count in zip(emb, Mg.moduli):
@@ -232,20 +227,9 @@ def pp_type_descriptor(a: Element, M: Subgroup, N: FgGroup,
     tables = []
     for p, K in factorize(N.exponent()).items():
         e = [_capped_valuation(t, p, K) for t in moduli]
-        levels = [_mixed_sum_levels(d, e, p, K) for d in diffs]
-        T = []
-        for k in range(K + 1):
-            buckets = [[] for _ in range(K + 1)]  # [l]: the m of level l at k
-            for mc, lv in zip(params, levels):
-                buckets[lv[k]].append(mc)
-            row, members = [], set()
-            for bucket in buckets:
-                members.update(bucket)
-                row.append(frozenset(members))
-            T.append(tuple(row))
-        T = _trimmed(tuple(T))
-        if len(T) > 1:
-            tables.append((p, T))
+        rows = _clamped_rows([_mixed_sum_levels(d, e, p, K) for d in diffs])
+        if rows[0]:  # empty exactly when r = 0
+            tables.append((p, rows))
     return PpTypeDescriptor(Mg.moduli, tuple(tables))
 
 

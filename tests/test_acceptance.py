@@ -81,9 +81,26 @@ def test_criterion_08_fails_when_compare_decides_ch(monkeypatch):
     assert result.detail == "beth(1) le aleph1: got true (CH), want unknown"
 
 
-# One injected fault per criterion (08 has its own test above): the suite name,
-# a function that installs the fault on the name the criterion calls, and the
-# pattern its failure detail must match in full, which names the case.
+def test_criterion_06_fails_when_the_descriptor_splits_a_type(monkeypatch):
+    """A descriptor that also keys the ambient group's moduli merges no two
+    types but splits one type across ambients, which the representative
+    pairs of criterion 06 catch."""
+    real = ppsolve.pp_type_descriptor
+
+    def keys_the_ambient(a, M, N, **kwargs):
+        d = real(a, M, N, **kwargs)
+        return dataclasses.replace(d, tables=d.tables + ((0, N.moduli),))
+
+    monkeypatch.setattr(ppsolve, "pp_type_descriptor", keys_the_ambient)
+    result = verify.check_pp_type_oracle()
+    assert not result.passed
+    assert result.detail == "descriptor split an oracle-equal type"
+
+
+# One injected fault per criterion (08 has its own test above, and 06 a second
+# one): the suite name, a function that installs the fault on the name the
+# criterion calls, and the pattern its failure detail must match in full,
+# which names the case.
 
 
 def _drop_a_row_on_z8(mp):

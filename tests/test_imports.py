@@ -18,8 +18,10 @@ import pptor
 
 SRC = str(Path(pptor.__file__).resolve().parent.parent)
 
+# what a group command needs none of; `ulm` reaches `invariants`, which
+# loads `cardinals` only for the limit-model templates
 HEAVY = {"pptor.formulas", "pptor.ppsolve", "pptor.verify", "pptor.chains",
-         "pptor.corpus", "pptor.kernels", "numpy"}
+         "pptor.corpus", "pptor.kernels", "pptor.cardinals", "numpy"}
 
 
 def loaded_after(code: str) -> set[str]:

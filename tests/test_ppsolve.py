@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 import time
@@ -347,6 +348,18 @@ def _lattice_descriptor(a, Mg, emb, N, members):
     return ppsolve.PpTypeDescriptor(Mg.moduli, tuple(tables))
 
 
+def _table(rows, params):
+    """The table that one prime's rows of a descriptor stand for:
+    T(k, l) = {m : L_m(min(k, r)) ≤ l} for k, l up to the larger of r and
+    the largest level, where rows hold L_m(1), …, L_m(r) for the
+    parameters m in turn and L_m(0) = 0."""
+    r = len(rows[0])
+    n = max([r, *(lv for row in rows for lv in row)]) + 1
+    return tuple(tuple(frozenset(m for m, row in zip(params, rows)
+                                 if ((0,) + row)[min(k, r)] <= l)
+                       for l in range(n)) for k in range(n))
+
+
 def test_descriptor_matches_lattice_route():
     # every subgroup, pure or not, of every group of order ≤ 32, with N's
     # factors as listed, shuffled, and with a Z/1 factor inserted; two
@@ -363,11 +376,14 @@ def test_descriptor_matches_lattice_route():
             members = {}
             for S in all_subgroups(N):
                 Mg, emb = S.as_group_with_embedding()
+                params = [x.coords for x in Mg.elements()]
                 for a in rng.sample(elements, min(2, len(elements))):
                     d = ppsolve.pp_type_descriptor(
                         a, S, N, check_purity=False, identification=(Mg, emb))
-                    assert d == _lattice_descriptor(a, Mg, emb, N, members), \
-                        (moduli, S.basis, a.coords)
+                    expanded = dataclasses.replace(d, tables=tuple(
+                        (p, _table(rows, params)) for p, rows in d.tables))
+                    assert expanded == _lattice_descriptor(
+                        a, Mg, emb, N, members), (moduli, S.basis, a.coords)
                     count += 1
     assert count > 5000
 
@@ -568,30 +584,37 @@ def test_hom_oracle_builds_one_abstract_form_for_one_subgroup(monkeypatch):
     assert verdicts == {False, True}
 
 
-def test_trimmed_matches_its_definition():
-    """_trimmed against the definition of the least clamp on seeded tables
-    of frozensets: n = 1, constant tables, tables whose clamp is set only
-    by their rows or only by their columns, and random tables with rows
-    from r and columns from c on made equal."""
-    a, b = frozenset(), frozenset({(1,)})
-    tables = [((a,),), ((a, a), (a, a)), ((b,) * 3,) * 3,
-              ((a, b), (a, b)),   # rows clamp at 0, columns at 1
-              ((a, a), (b, b)),   # columns clamp at 0, rows at 1
-              ((a, b, b), (a, b, b), (b, a, a)),
-              ((a, b, a), (b, a, b), (b, a, b))]
+def test_clamp_matches_its_definition():
+    """_clamped_rows on seeded non-decreasing level matrices (row m holds
+    L_m(0) = 0, …, L_m(K)): the rows expand to the table
+    T(k, l) = {m : L_m(k) ≤ l}, k, l ≤ K, cut by the definition of its
+    clamp, and padding every row with repeats of its last level, as a
+    larger exponent of p would, leaves the rows unchanged.  Among them are
+    K = 0, all-zero matrices, and matrices whose clamp is set only by
+    their rows or only by their largest level."""
+    matrices = [[[0]], [[0, 0, 0]] * 3,
+                [[0, 0, 1, 1], [0, 0, 0, 0]],  # rows: r = 2, largest level 1
+                [[0, 2, 2], [0, 1, 1]],        # largest level 2, r = 1
+                [[0, 1, 2, 2], [0, 0, 0, 3]]]
     rng = random.Random(2002)
-    pool = [frozenset(s) for s in ((), ((0,),), ((1,),), ((0,), (1,)))]
     for _ in range(400):
-        n = rng.randint(1, 5)
-        T = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
-        r, c = rng.randrange(n), rng.randrange(n)
-        for k in range(r + 1, n):
-            T[k] = list(T[r])
-        for row in T:
-            row[c + 1:] = [row[c]] * (n - c - 1)
-        tables.append(tuple(map(tuple, T)))
-    for T in tables:
-        assert ppsolve._trimmed(T) == trimmed_by_definition(T), T
+        K, n, c = rng.randint(1, 4), rng.randint(1, 5), rng.randint(0, 4)
+        matrix = []
+        for _ in range(n):
+            lv = [0] + sorted(rng.randint(0, K) for _ in range(K))
+            matrix.append(lv[:c + 1] + [lv[min(c, K)]] * (K - c))
+        matrices.append(matrix)
+    for levels in matrices:
+        K = len(levels[0]) - 1
+        params = [(i,) for i in range(len(levels))]
+        T = tuple(tuple(frozenset(m for m, lv in zip(params, levels)
+                                  if lv[k] <= l)
+                        for l in range(K + 1)) for k in range(K + 1))
+        rows = ppsolve._clamped_rows(levels)
+        assert _table(rows, params) == trimmed_by_definition(T), levels
+        extra = rng.randint(1, 3)
+        padded = [lv + [lv[-1]] * extra for lv in levels]
+        assert ppsolve._clamped_rows(padded) == rows, levels
 
 
 def test_hom_oracle_rejects_parameters_of_another_group():

@@ -1,7 +1,9 @@
-"""Checks on the source text of the library and of the benchmark tracer."""
+"""Checks on the source text of the library, of the benchmark tracer and of
+the mutants."""
 
 import ast
 import importlib
+import json
 from pathlib import Path
 
 import pptor
@@ -38,3 +40,18 @@ def test_tracer_targets_resolve():
         if not callable(owner):
             missing.append(f"{module}:{path}")
     assert missing == []
+
+
+def test_mutants_are_not_stale():
+    """Each mutant of tools/mutants.json names text that occurs exactly once
+    in its file, as the mutation runner requires, so an edit to the library
+    that moves a mutant's code shows here and not only when the runner is
+    next run."""
+    root = Path(__file__).resolve().parents[1]
+    mutants = json.loads((root / "tools" / "mutants.json").read_text(
+        encoding="utf-8"))
+    assert mutants
+    stale = [mutant["id"] for mutant in mutants
+             if (root / mutant["file"]).read_text(encoding="utf-8")
+             .count(mutant["old"]) != 1]
+    assert stale == []
