@@ -48,9 +48,10 @@ MILLER_RABIN_BOUND = 3317044064679887385961981
 # Largest rank (number of cyclic coordinates) of a group the parser builds
 # and evaluate works in.  HNF and Smith form cost grows steeply with the
 # rank: at rank 64 `chain --witness 2 64 1 --indices` takes 0.8–0.9 s, and
-# with the limit lifted `complement 0 "(Z/2)^300"` 1.3–1.6 s and
-# `chain --witness 2 60 6` (rank 360) 0.9–1.1 s.  `ulm` builds no lattice:
-# `ulm "(Z/2)^600"` takes 0.02–0.03 s in process (2 CPUs, Python 3.11).
+# with the limit lifted `complement 0 "(Z/2)^300"` 1.1–1.2 s (1.1–1.3 s with
+# H of rank 299) and `chain --witness 2 60 6` (rank 360) 0.9–1.1 s.  `ulm`
+# builds no lattice: `ulm "(Z/2)^600"` takes 0.02–0.03 s in process (2 CPUs,
+# Python 3.11).
 MAX_RANK = 64
 
 
@@ -408,25 +409,20 @@ class Subgroup:
         for x in grp.element_coords():
             yield self.ambient.element(mat_mul([x], emb, self.ambient.rank)[0])
 
-    def as_group_with_embedding(self):
-        """(H as an abstract FgGroup, rows = ambient coords of its generators).
-
-        H = L/R, so relative to the basis rows of L its relations are the
-        coordinates in L of each row m_i·e_i of R, in column order
-        (intlinalg.lattice_coords).  L is an echelon HNF that contains R, so
-        each column i with m_i ≠ 0 is one of its pivot columns, with pivot
-        d_i | m_i: those coordinates are zero before that row of L and
-        m_i/d_i at it.  The coordinate rows are thus echelon with positive
-        leading entries, so their HNF needs only the entries above its
-        pivots reduced.
+    def _relation_coords(self):
+        """The relations of H = L/R in the coordinates of the basis rows of
+        L: the coordinates in L of each row m_i·e_i of R, in column order
+        (intlinalg.lattice_coords), so that their product with L is R's
+        rows.  L is an echelon HNF that contains R, so each column i with
+        m_i ≠ 0 is one of its pivot columns, with pivot d_i | m_i: those
+        coordinates are zero before that row of L and m_i/d_i at it.  The
+        coordinate rows are thus echelon with positive leading entries, so
+        their HNF needs only the entries above its pivots reduced.
         """
         L = self.basis
-        if not L:
-            return FgGroup(()), []
-        moduli = self.ambient.moduli
-        g = len(moduli)
+        g = len(self.ambient.moduli)
         rel = []
-        for i, m in enumerate(moduli):
+        for i, m in enumerate(self.ambient.moduli):
             if m:
                 e = [0] * g
                 e[i] = m
@@ -435,6 +431,16 @@ class Subgroup:
                     raise GroupError(
                         "relation row outside the subgroup lattice")
                 rel.append(coords)
+        return rel
+
+    def as_group_with_embedding(self):
+        """(H as an abstract FgGroup, rows = ambient coords of its generators):
+        the Smith form of H's relations in the coordinates of its basis rows
+        (_relation_coords), reduced above their pivots."""
+        L = self.basis
+        if not L:
+            return FgGroup(()), []
+        rel = self._relation_coords()
         reduce_above_pivots(rel)
         grp, gens = _group_from_lattice(len(L), rel)
         return grp, mat_mul(gens, L)
@@ -515,8 +521,9 @@ class Homomorphism:
 
 
 # ---------------------------------------------------------------------------
-# constrained homomorphisms: the pp-type oracle and purity's retractions,
-# solved one target modulus at a time, with no well-definedness rows
+# constrained homomorphisms, built (find_constrained_hom) or only decided
+# (constrained_hom_exists, the pp-type oracle), solved one target modulus at
+# a time, with no well-definedness rows
 
 
 def _coords(x, G: FgGroup):

@@ -59,10 +59,6 @@ def mat_mul(A: Matrix, B: Matrix, ncols: int = 0) -> Matrix:
     return out
 
 
-def mat_vec(A: Matrix, v: list[int]) -> list[int]:
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
-
-
 SNF_TRANSFORMS = frozenset({"V", "Vinv"})
 
 
@@ -408,7 +404,7 @@ def solve_congruence_columns(A: Matrix, rhs, moduli) -> list[list[int]] | None:
     if not _columns_solvable(C, diag, moduli):
         return None
     n = len(V)
-    cols = []
+    ys = []
     for j, t in enumerate(moduli):
         y = [0] * n
         for i, (row, s) in enumerate(zip(C, diag)):
@@ -421,8 +417,9 @@ def solve_congruence_columns(A: Matrix, rhs, moduli) -> list[list[int]] | None:
                 y[i] = c // g * pow(s // g, -1, tg) % tg
             else:
                 y[i] = c // s
-        cols.append(mat_vec(V, y))
-    return cols
+        ys.append(y)
+    # x = V·y for each y, as y·Vᵀ, which skips the zero entries of y
+    return mat_mul(ys, [list(col) for col in zip(*V)], n)
 
 
 def lattice_intersection(b1, b2, moduli) -> list[list[int]]:

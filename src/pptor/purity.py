@@ -32,11 +32,13 @@ pp(L)·n^f = n^r·pp(L + diag(g))·pp(L + diag(h)), which for finite M is
 only for a witness, at the failing n.
 
 Complements are decided by splitting instead: a finitely generated H ≤ M is
-a direct summand iff a retraction r: M → H exists, and for finite M that
-holds iff H is pure.  So the order criterion and the Diophantine retraction
-search are two independent decisions of the same property.  The complement
-is ker r, the image of 1 − ι∘r for the inclusion ι of H; it is checked by
-orders and by the membership of each ι(r(e_j)) in H, with no second HNF.
+a direct summand iff the quotient map M → M/H has a section, and for finite
+M that holds iff H is pure.  So the order criterion and the congruence solve
+behind the section are two independent decisions of the same property.  The
+section lifts each generator q_i of M/H = ⊕ ℤ/s_i, read off one Smith form of
+H's lattice, to an x_i of order dividing s_i, and the complement is
+K = ⟨x_i⟩, its image.  It is checked by orders and by the membership in H of
+each e_j − Σ_i V[j][i]·x_i, with no second HNF.
 """
 
 from __future__ import annotations
@@ -44,15 +46,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .groups import (
-    FgGroup,
-    GroupError,
-    Subgroup,
-    factorize,
-    find_constrained_hom,
-    quotient,
+from .groups import FgGroup, GroupError, Subgroup, factorize, quotient
+from .intlinalg import (
+    hermite_row_basis,
+    in_lattice,
+    lattice_coords,
+    mat_mul,
+    pivot_product,
+    smith_normal_form,
+    solve_congruence_columns,
 )
-from .intlinalg import hermite_row_basis, in_lattice, mat_mul, pivot_product
 
 # purity.kernel_basis stays importable: perfbench's tracer test checks that a
 # wrapper installed on it here is removed again.
@@ -144,15 +147,41 @@ def purity_witness(H: Subgroup, M: FgGroup):
     return n, [a for a in gens if not nH.contains(a)][-1]
 
 
-def _retraction(H: Subgroup, M: FgGroup):
-    """(r, emb): emb holds the ambient coordinates of the generators of H's
-    abstract form, i.e. the rows of the inclusion ι, and r: M → H is a
-    homomorphism with r∘ι = 1, or None when none exists."""
-    Hg, emb = H.as_group_with_embedding()
-    cons = [(tuple(emb[i]),
-             tuple(1 if j == i else 0 for j in range(Hg.rank)))
-            for i in range(Hg.rank)]
-    return find_constrained_hom(M, Hg, cons), emb
+def _section(H: Subgroup, M: FgGroup):
+    """(x, V) for a section of M → M/H, M finite, or None when none exists,
+    i.e. when H is not a direct summand.
+
+    With U·L·V = S the Smith form of H's lattice L (square, since L contains
+    diag(m)), M/H = ⊕ ℤ/s_i over the s_i ≠ 1, generated by the rows q_i of
+    V⁻¹.  A lift q_i + c·L of q_i has order dividing s_i in M iff
+    s_i·q_i + s_i·c·L lies in the relation lattice, spanned by the rows
+    m_j·e_j.  In the coordinates of L, with a_i those of s_i·q_i and R
+    those of the m_j·e_j (Subgroup._relation_coords, so R·L = diag(m)),
+    that is a_i + s_i·c = y·R for some y, i.e. y·R ≡ a_i (mod s_i), and
+    then c = (y·R − a_i)/s_i.  The lift is
+    x_i = q_i + c·L = q_i + (y·diag(m) − s_i·q_i)/s_i, whose coordinates
+    are y_j·m_j/s_i.  One solve of Rᵀ·y ≡ a_i serves every i
+    (intlinalg.solve_congruence_columns); when it has none, no lift of
+    some q_i has order s_i, so M/H does not embed back in M.  x holds the
+    lifts x_i and V its columns i, in the same order, so that
+    e_j ≡ Σ_i V[j][i]·x_i modulo H.
+    """
+    L = H.basis
+    _, S, V, Vi = smith_normal_form(L, ("V", "Vinv"))
+    keep = [i for i in range(len(L)) if S[i][i] != 1]
+    moduli = [S[i][i] for i in keep]
+    rhs = []
+    for i, s in zip(keep, moduli):
+        a = lattice_coords(L, [s * v for v in Vi[i]])
+        if a is None:
+            raise GroupError(f"s_{i}·q_{i} outside H: not a Smith form of H")
+        rhs.append(a)
+    R = H._relation_coords()
+    ys = solve_congruence_columns([list(c) for c in zip(*R)], rhs, moduli)
+    if ys is None:
+        return None
+    x = [[c * m // s for c, m in zip(y, M.moduli)] for s, y in zip(moduli, ys)]
+    return x, [[row[i] for i in keep] for row in V]
 
 
 def torsion_radical(M: FgGroup) -> Subgroup:
@@ -179,30 +208,31 @@ def primary_component(M: FgGroup, p: int) -> Subgroup:
 def complement(H: Subgroup, M: FgGroup):
     """K with H ⊕ K = M, or None when H is not a direct summand.
 
-    Existence is decided by splitting alone: a retraction r: M → H is sought
-    by solving the Diophantine system of find_constrained_hom, and None
-    means none exists.  For finite M that happens exactly when H is not
-    pure (Lemma mod (1)⇔(5) at finite scale), which is_pure decides
-    independently by orders.  K = ker r is the image of 1 − ι∘r, since
-    r∘ι = 1: it is spanned by e_j − h_j with h_j = ι(r(e_j)) for each
-    coordinate j of M.  The result is checked as H + K = M and
-    |H|·|K| = |M|, which for finite M says H ∩ K = 0.  The first half is
-    checked by membership, with no second HNF: when every h_j lies in H,
-    each e_j = h_j + (e_j − h_j) lies in H + K.
+    Existence is decided by splitting alone: a section of M → M/H is sought
+    by one congruence solve (_section), and None means none exists.  For
+    finite M that happens exactly when H is not pure (Lemma mod (1)⇔(5) at
+    finite scale), which is_pure decides independently by orders.  K is the
+    image of the section, spanned by the lifts x_i.  The result is checked
+    as H + K = M and |H|·|K| = |M|, which for finite M says H ∩ K = 0.  The
+    first half is checked by membership, with no second HNF: V·V⁻¹ = I gives
+    e_j = Σ_i V[j][i]·q_i over every i, and the q_i with s_i = 1 lie in H,
+    so h_j = e_j − Σ_i V[j][i]·x_i lies in H when each x_i lifts q_i, and
+    then e_j lies in H + K.
     """
     if H.ambient != M:
         raise GroupError("subgroup of a different group")
     if not M.is_finite:
         raise GroupError("complement search requires a finite group")
-    r, emb = _retraction(H, M)
-    if r is None:
+    section = _section(H, M)
+    if section is None:
         return None
-    images = mat_mul(r.matrix, emb, M.rank)
-    K = Subgroup(M, [[(1 if j == k else 0) - h[k] for k in range(M.rank)]
-                     for j, h in enumerate(images)])
-    if (not all(in_lattice(H.basis, h) for h in images)
+    x, V = section
+    K = Subgroup(M, x)
+    h = [[(1 if j == k else 0) - v for k, v in enumerate(row)]
+         for j, row in enumerate(mat_mul(V, x, M.rank))]
+    if (not all(in_lattice(H.basis, v) for v in h)
             or H.order() * K.order() != M.order()):
-        raise GroupError("the image of 1 − ι∘r is not a direct complement")
+        raise GroupError("the image of the section is not a direct complement")
     return K
 
 

@@ -39,6 +39,7 @@ from pptor.groups import (
     Subgroup,
     TRIAL_DIVISION_LIMIT,
     factorize,
+    find_constrained_hom,
 )
 from pptor.intlinalg import (
     Matrix,
@@ -48,7 +49,6 @@ from pptor.intlinalg import (
 from pptor.invariants import UlmInvariants
 from pptor.kernels import brute_force_codes
 from pptor.ppsolve import evaluate
-from pptor.purity import _retraction
 
 
 def coefficient(eq: Equation, var: str) -> int:
@@ -241,10 +241,15 @@ def enumerate_homs(source: FgGroup, target: FgGroup):
 
 def is_pure_via_splitting(H: Subgroup, M: FgGroup) -> bool:
     """Independent decision: H is pure in a f.g. group iff it is a direct
-    summand, iff a retraction M → H exists."""
+    summand, iff a retraction r: M → H exists, i.e. a homomorphism into H's
+    abstract form that fixes each of its generators (find_constrained_hom).
+    """
     if H.ambient != M:
         raise GroupError("subgroup of a different group")
-    return _retraction(H, M)[0] is not None
+    Hg, emb = H.as_group_with_embedding()
+    cons = [(emb[i], [1 if j == i else 0 for j in range(Hg.rank)])
+            for i in range(Hg.rank)]
+    return find_constrained_hom(M, Hg, cons) is not None
 
 
 def ulm_invariants(G: FgGroup) -> UlmInvariants:

@@ -124,6 +124,17 @@ def _refuse_a_pure_summand(mp):
                lambda H, M: None if H == _SUMMAND else real(H, M))
 
 
+def test_criterion_02_reports_a_bad_complement(monkeypatch):
+    """Criterion 02 checks each complement it gets, not only that one
+    exists: M itself, returned for the pure _SUMMAND, meets it."""
+    real = purity.complement
+    monkeypatch.setattr(purity, "complement", lambda H, M: (
+        M.full_subgroup() if H == _SUMMAND else real(H, M)))
+    result = verify.run_suite("complement")[0]
+    assert result.passed is False
+    assert result.detail == "bad complement at H ≤ Z/4 + Z/2"
+
+
 def _no_torsion_when_infinite(mp):
     real = purity.torsion_radical
     mp.setattr(purity, "torsion_radical",

@@ -10,7 +10,6 @@ from pptor import corpus, purity
 from pptor.groups import (
     FgGroup,
     GroupError,
-    Homomorphism,
     Subgroup,
     abelian_groups_upto,
     all_subgroups,
@@ -219,46 +218,91 @@ def test_splitting_rejects_subgroup_of_another_group():
         is_pure_via_splitting(H, FgGroup((2,)))
 
 
+def _checked_complement(H, M):
+    """complement(H, M), checked: it exists iff H is pure, and then
+    H + K = M, H ∩ K = 0 and K ≅ M/H."""
+    K = purity.complement(H, M)
+    assert (K is not None) == purity.is_pure(H, M)
+    if K is not None:
+        assert H.sum(K) == M.full_subgroup()
+        assert H.intersection(K).order() == 1
+        assert is_isomorphic(K.as_group(), quotient(M, H))
+    return K
+
+
 def test_complement_properties():
-    for M in abelian_groups_upto(16):
-        for H in all_subgroups(M):
-            K = purity.complement(H, M)
-            if K is None:
-                assert not purity.is_pure(H, M)
-                continue
-            assert purity.is_pure(H, M)
-            assert H.sum(K) == M.full_subgroup()
-            assert H.intersection(K).order() == 1
-            assert is_isomorphic(K.as_group(), quotient(M, H))
+    """Every subgroup of every group of order ≤ 32, with the factors as
+    listed and again in a seeded order with a Z/1 coordinate inserted."""
+    rng = random.Random(3202)
+    pairs = summands = 0
+    for G in abelian_groups_upto(32):
+        moduli = list(G.moduli)
+        rng.shuffle(moduli)
+        moduli.insert(rng.randint(0, len(moduli)), 1)
+        for M in (G, FgGroup(moduli)):
+            for H in all_subgroups(M):
+                summands += _checked_complement(H, M) is not None
+                pairs += 1
+    assert (pairs, summands) == (2060, 1814)
 
 
-def test_complement_rejects_a_map_that_is_not_a_retraction(monkeypatch):
-    """complement checks its result: with the zero map in place of a
-    retraction, the image of 1 − ι∘r is all of M, which meets H ≠ 0."""
-    real = purity._retraction
+def test_complement_in_rank_64():
+    """(Z/2)^64 with a seeded H of rank 1 and one of rank 63: the cost of a
+    complement grows with the rank of M/H, so these are the two ends.
+    Correctness only, with no time bound."""
+    rng = random.Random(6401)
+    M = FgGroup((2,) * 64)
+    for r in (1, 63):
+        H = M.zero_subgroup()
+        while H.order() < 2 ** r:  # add seeded rows until H has rank r
+            H = H.sum(Subgroup(M, [[rng.randrange(2) for _ in range(64)]]))
+        assert _checked_complement(H, M).order() == 2 ** (64 - r)
 
-    def zero_map(H, M):
-        r, emb = real(H, M)
-        return Homomorphism(M, r.target, [[0] * r.target.rank] * M.rank), emb
 
-    monkeypatch.setattr(purity, "_retraction", zero_map)
+def test_purity_refusals():
+    M, N = FgGroup((4, 2)), FgGroup((2, 4))
+    H = Subgroup(N, [[1, 0]])
+    for call in (purity.is_pure, purity.purity_witness, purity.complement):
+        with pytest.raises(GroupError, match="^subgroup of a different group$"):
+            call(H, M)
+    Z = FgGroup((0, 2))
+    with pytest.raises(GroupError,
+                       match="^complement search requires a finite group$"):
+        purity.complement(Z.zero_subgroup(), Z)
+    for p in (1, 4, 6):
+        with pytest.raises(GroupError, match=f"^{p} is not prime$"):
+            purity.primary_component(M, p)
+    with pytest.raises(GroupError,
+                       match="^primary components require a torsion group$"):
+        purity.primary_component(Z, 2)
+
+
+def test_complement_rejects_a_zero_section(monkeypatch):
+    """complement checks its result: with every lift x_i = 0 in place of
+    the section, K = 0, and H + K = H ≠ M."""
+    real = purity._section
+
+    def zero_section(H, M):
+        x, V = real(H, M)
+        return [[0] * M.rank for _ in x], V
+
+    monkeypatch.setattr(purity, "_section", zero_section)
     M = FgGroup((4, 2))
     H = Subgroup.from_generators(M, [M.element([0, 1])])
     with pytest.raises(GroupError, match="not a direct complement"):
         purity.complement(H, M)
-    # for H = 0 the zero map is the retraction, and K = M
-    assert purity.complement(M.zero_subgroup(), M) == M.full_subgroup()
+    # for H = M, M/H = 0 has no generator to lift, and K = 0
+    assert purity.complement(M.full_subgroup(), M) == M.zero_subgroup()
 
 
-def test_complement_rejects_an_embedding_that_leaves_h(monkeypatch):
+def test_complement_rejects_the_section_of_another_subgroup(monkeypatch):
     """complement checks H + K = M, not only |H|·|K| = |M|: with the
-    retraction onto L = ⟨(0, 1)⟩ in place of one onto H = ⟨(1, 0)⟩ in
-    (ℤ/2)², the embedding rows leave H, and the image of 1 − ι∘r is
-    ⟨(1, 0)⟩ = H, of the right order but with H + K = H."""
-    real = purity._retraction
+    section of M → M/L for L = ⟨(0, 1)⟩ in place of that for H = ⟨(1, 0)⟩
+    in (ℤ/2)², K = ⟨(1, 0)⟩ = H, of the right order but with H + K = H."""
+    real = purity._section
     M = FgGroup((2, 2))
     L = Subgroup(M, [[0, 1]])
-    monkeypatch.setattr(purity, "_retraction", lambda H, M: real(L, M))
+    monkeypatch.setattr(purity, "_section", lambda H, M: real(L, M))
     H = Subgroup(M, [[1, 0]])
     with pytest.raises(GroupError, match="not a direct complement"):
         purity.complement(H, M)
