@@ -115,6 +115,7 @@ class FgGroup:
         self.moduli = moduli
         self._canonical = None
         self._full = None
+        self._powers = None
 
     @property
     def rank(self) -> int:
@@ -203,6 +204,16 @@ class FgGroup:
 
     def zero_subgroup(self) -> "Subgroup":
         return self.diagonal_subgroup([0] * self.rank)
+
+    def power(self, n: int) -> "FgGroup":
+        """M^n = M ⊕ … ⊕ M, n copies (the zero group for n = 0), built once
+        per n and kept on the group."""
+        if self._powers is None:
+            self._powers = {}
+        P = self._powers.get(n)
+        if P is None:
+            P = self._powers[n] = FgGroup(self.moduli * n)
+        return P
 
     def __eq__(self, other):
         return isinstance(other, FgGroup) and self.moduli == other.moduli

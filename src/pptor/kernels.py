@@ -119,9 +119,9 @@ def brute_force_codes(C, D, moduli):
     digit rows become codes of M by one product with those weights, and
     the solution set of M is the Cartesian sum of the per-factor codes.
     """
-    C = tuple(tuple(int(c) for c in r) for r in C)
-    D = tuple(tuple(int(c) for c in r) for r in D)
-    moduli = [int(m) for m in moduli]
+    C = tuple(tuple(map(int, r)) for r in C)
+    D = tuple(tuple(map(int, r)) for r in D)
+    moduli = list(map(int, moduli))
     if any(m < 1 for m in moduli):
         raise ValueError("brute force requires a finite group (moduli >= 1)")
     rank = len(moduli)
@@ -138,11 +138,11 @@ def brute_force_codes(C, D, moduli):
     # codes stay below order^nfree ≤ _MAX_TABLE < 2^31, so the int32
     # weights and sums are exact; each product builds a fresh array, so no
     # caller ever holds a cached per-factor array
-    powers = np.arange(nfree, dtype=np.int32)
+    weights = order ** np.arange(nfree, dtype=np.int32)
     sols = None
     stride = 1
     for m in moduli:
-        codes = _cyclic_solutions(C, D, m) @ (order ** powers * stride)
+        codes = _cyclic_solutions(C, D, m) @ (weights * stride)
         sols = codes if sols is None else (sols[:, None] + codes).ravel()
         stride *= m
     sols.sort()

@@ -32,7 +32,6 @@ from .groups import (
     Subgroup,
     abelian_groups_upto,
     constrained_hom_exists,
-    direct_sum,
     factorize,
 )
 from .intlinalg import congruence_lattice, in_lattice
@@ -62,10 +61,6 @@ def _coordinate_lattice(C, D, m: int):
                  for r in rows)
 
 
-def power_group(M: FgGroup, n: int) -> FgGroup:
-    return direct_sum(*([M] * n)) if n else FgGroup(())
-
-
 def evaluate(f: PpFormula, M: FgGroup) -> Subgroup:
     """The solution set {ā ∈ M^n : M ⊨ f(ā)} as a Subgroup of M^n; M^n may
     have rank at most MAX_RANK."""
@@ -86,7 +81,7 @@ def evaluate(f: PpFormula, M: FgGroup) -> Subgroup:
             row = [0] * (n * rank)
             row[c::rank] = r
             placed[pivot * rank + c] = row
-    return Subgroup._from_hnf(power_group(M, n),
+    return Subgroup._from_hnf(M.power(n),
                               [row for row in placed if row is not None])
 
 

@@ -84,18 +84,27 @@ def check_evaluation_oracle():
 
 @_timed
 def check_complement_iff_pure():
-    """2. complement(H,M) succeeds ⟺ is_pure(H,M), exhaustive |M| ≤ 32."""
+    """2. complement(H,M) succeeds ⟺ is_pure(H,M), exhaustive |M| ≤ 32.
+
+    Each group is swept as listed and again with its factors in a seeded
+    order and a ℤ/1 inserted: the listed presentations alone miss a section
+    solved exactly instead of modulo the orders s_i of M/H."""
+    rng = random.Random(2)
     count = 0
-    for M in abelian_groups_upto(32):
-        for H in all_subgroups(M):
-            pure = purity.is_pure(H, M)
-            K = purity.complement(H, M)
-            if (K is not None) != pure:
-                return False, f"mismatch at H ≤ {M}, basis {H.basis}"
-            if K is not None:
-                if H.sum(K) != M.full_subgroup() or H.intersection(K).order() != 1:
+    for G in abelian_groups_upto(32):
+        moduli = list(G.moduli)
+        rng.shuffle(moduli)
+        moduli.insert(rng.randint(0, len(moduli)), 1)
+        for M in (G, FgGroup(moduli)):
+            for H in all_subgroups(M):
+                pure = purity.is_pure(H, M)
+                K = purity.complement(H, M)
+                if (K is not None) != pure:
+                    return False, f"mismatch at H ≤ {M}, basis {H.basis}"
+                if K is not None and (H.sum(K) != M.full_subgroup()
+                                      or H.intersection(K).order() != 1):
                     return False, f"bad complement at H ≤ {M}"
-            count += 1
+                count += 1
     return True, f"{count} (M, H) pairs checked"
 
 

@@ -9,9 +9,9 @@ import re
 
 import pytest
 
-from pptor import cardinals, invariants, ppsolve, purity, verify
+from pptor import cardinals, chains, invariants, ppsolve, purity, verify
 from pptor.formulas import parse
-from pptor.groups import FgGroup, Subgroup
+from pptor.groups import FgGroup, Subgroup, direct_sum
 
 
 def _run(name, limit_seconds):
@@ -28,8 +28,10 @@ def test_criterion_01_evaluation_oracle():
 
 
 def test_criterion_02_complement_iff_pure():
-    # exhaustive over |M| ≤ 32 and all subgroups, within 5 minutes
-    _run("complement", 300)
+    # exhaustive over |M| ≤ 32 and all subgroups, each group as listed and
+    # shuffled with a Z/1 inserted, within 5 minutes
+    result = _run("complement", 300)
+    assert result.detail == "2060 (M, H) pairs checked"
 
 
 def test_criterion_03_radical_laws():
@@ -222,6 +224,61 @@ def test_every_criterion_fails_on_its_injected_fault(suite, monkeypatch):
     result = verify.run_suite(suite)[0]
     assert result.passed is False
     assert re.fullmatch(detail, result.detail), result.detail
+
+
+# One more fault for each other failure branch of criteria 03 and 05, in the
+# same style: the suite, the fault, and its failure detail in full.
+
+
+def _quotient_ignores_h(mp):
+    mp.setattr(verify, "quotient", lambda M, H: M)
+
+
+def _as_group_gains_a_z(mp):
+    real = Subgroup.as_group
+    mp.setattr(Subgroup, "as_group",
+               lambda self: direct_sum(real(self), FgGroup((0,))))
+
+
+def _not_pure_when_infinite(mp):
+    real = purity.is_pure
+    mp.setattr(purity, "is_pure", lambda H, M: M.is_finite and real(H, M))
+
+
+def _bound_variables_not_low(mp):
+    real = verify.is_low
+    mp.setattr(verify, "is_low", lambda f: not f.bound_vars and real(f))
+
+
+def _stabilization_one_level_short(mp):
+    real = chains.stabilization_index
+    mp.setattr(chains, "stabilization_index", lambda levels: real(levels[:-1]))
+
+
+BRANCH_FAULTS = {
+    "radical-quotient": ("radical", _quotient_ignores_h,
+                         "t(M/t(M)) ≠ 0 at trial 0"),
+    "radical-idempotent": ("radical", _as_group_gains_a_z,
+                           "t(t(M)) ≠ t(M) at trial 0"),
+    "radical-pure": ("radical", _not_pure_when_infinite,
+                     "t(M) not pure at trial 0"),
+    "chain-low": ("chain", _bound_variables_not_low, "φ₀ not low at (p=2)"),
+    "chain-orders": ("chain", _drop_a_row_on_z8,
+                     "orders [4, 2, 1, 1, 1] ≠ [8, 4, 2, 1, 1] at (2, 3, 1)"),
+    "chain-stabilization": ("chain", _stabilization_one_level_short,
+                            "stabilization not at M0 for (2, 1, 1)"),
+}
+
+
+@pytest.mark.parametrize("branch", BRANCH_FAULTS)
+def test_every_failure_branch_of_criteria_03_and_05_runs(branch, monkeypatch):
+    """Each check of criteria 03 and 05 fails on a fault of its own; FAULTS
+    reaches one check of each."""
+    suite, inject, detail = BRANCH_FAULTS[branch]
+    inject(monkeypatch)
+    result = verify.run_suite(suite)[0]
+    assert result.passed is False
+    assert result.detail == detail
 
 
 def test_criterion_09_limit_model_golden():

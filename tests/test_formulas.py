@@ -64,6 +64,21 @@ def test_parse_errors():
         parse("y = 0 & E y. x = 2*y")  # capture of an occurring variable
 
 
+def test_formula_refusals():
+    """PpFormula checks its parts when it is built directly, not parsed."""
+    eq = Equation(((1, "x"),), ((2, "y"),))
+    cases = [
+        ((("x",), ("x",), ()), r"^variables both free and bound: \['x'\]$"),
+        ((("x",), ("y", "y"), (eq,)), "^duplicate bound variable$"),
+        ((("x",), (), (eq,)), r"^undeclared variables: \['y'\]$"),
+        ((("x",), (), (Equation(((1, "x"),), ((1, None),)),)),
+         "^equation is not homogeneous$"),
+    ]
+    for args, message in cases:
+        with pytest.raises(FormulaError, match=message):
+            PpFormula(*args)
+
+
 def test_parse_reads_ascii_digits_up_to_the_literal_limit():
     """A non-ASCII digit is an unexpected character, not a number; a
     literal past the interpreter's integer-string limit is a ParseError

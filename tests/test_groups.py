@@ -37,6 +37,11 @@ from pptor.groups import (
 from pptor.intlinalg import hermite_row_basis, lattice_coords, smith_normal_form
 
 
+def test_moduli_must_be_nonnegative():
+    with pytest.raises(GroupError, match="^moduli must be nonnegative$"):
+        FgGroup((4, -2))
+
+
 def test_invariant_factors():
     assert FgGroup((4, 2)).invariant_factors == (2, 4)
     assert FgGroup((2, 3)).invariant_factors == (6,)
@@ -167,6 +172,13 @@ def test_full_subgroup_is_built_once():
         assert full == Subgroup(M, [[1 if j == i else 0 for j in range(M.rank)]
                                     for i in range(M.rank)])
         assert full.order() == M.order()
+
+
+def test_power_is_the_direct_sum_built_once():
+    for M in (FgGroup((4, 6)), FgGroup((0, 1, 3)), FgGroup(())):
+        for n in range(4):
+            assert M.power(n) == direct_sum(*[M] * n)
+        assert M.power(2) is M.power(2)
 
 
 def test_lagrange_and_quotient():

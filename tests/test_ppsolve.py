@@ -2,7 +2,7 @@ import dataclasses
 import random
 import re
 import time
-from math import gcd
+from math import gcd, inf
 
 import pytest
 from hypothesis import assume, given
@@ -52,7 +52,31 @@ def test_evaluate_two_free_vars():
     S = ppsolve.evaluate(parse("x1 = 2*x2"), M)
     # pairs (2b mod 4, b): 4 solutions in M^2
     assert S.order() == 4
-    assert S.contains(ppsolve.power_group(M, 2).element([2, 1]))
+    assert S.contains(M.power(2).element([2, 1]))
+
+
+def test_evaluate_rank_limit():
+    f = parse("x1 = 3*x2")
+    assert ppsolve.evaluate(f, FgGroup((0,) * 32)).order() == inf
+    with pytest.raises(ppsolve.PpSolveError, match=re.escape(
+            "rank 2·33 = 66 of M^2 exceeds the limit 64")):
+        ppsolve.evaluate(f, FgGroup((0,) * 33))
+
+
+def test_evaluate_keeps_each_power_apart():
+    """M keeps M^n per n: on one group object, a formula in two free
+    variables after one in one free variable, and the other way round,
+    gives the ambient and basis it gives on a fresh group."""
+    one, two = parse("2*x = 0"), parse("x1 = 2*x2")
+    for moduli in ((4, 2), (0, 1, 6)):
+        fresh = [ppsolve.evaluate(f, FgGroup(moduli)) for f in (one, two)]
+        for order in ((0, 1), (1, 0)):
+            M = FgGroup(moduli)
+            for i in order:
+                S = ppsolve.evaluate((one, two)[i], M)
+                assert (S.ambient, S.basis) == (fresh[i].ambient,
+                                                fresh[i].basis)
+                assert S.ambient is M.power(i + 1)
 
 
 def test_evaluate_against_brute_force_random():
@@ -495,6 +519,12 @@ def test_count_types_oracle_agreement():
 def test_count_types_bound_limit():
     with pytest.raises(ppsolve.PpSolveError, match=str(ppsolve.MAX_TYPES_BOUND)):
         ppsolve.count_types(FgGroup(()), ppsolve.MAX_TYPES_BOUND + 1)
+    with pytest.raises(ppsolve.PpSolveError,
+                       match=r"^bound must be at least \|M\|$"):
+        ppsolve.count_types(FgGroup((8,)), 4)
+    with pytest.raises(ppsolve.PpSolveError,
+                       match="^count_types requires a finite parameter group$"):
+        ppsolve.count_types(FgGroup((0, 2)), 4)
 
 
 @pytest.mark.parametrize("M", abelian_groups_upto(8), ids=str)
