@@ -48,7 +48,7 @@ MILLER_RABIN_BOUND = 3317044064679887385961981
 # Largest rank (number of cyclic coordinates) of a group the parser builds
 # and evaluate works in.  HNF and Smith form cost grows steeply with the
 # rank: at rank 64 `chain --witness 2 64 1 --indices` takes 0.8–0.9 s, and
-# with the limit lifted `complement 0 "(Z/2)^300"` 1.1–1.2 s (1.1–1.3 s with
+# with the limit lifted `complement 0 "(Z/2)^300"` 1.1–1.5 s (1.1–1.3 s with
 # H of rank 299) and `chain --witness 2 60 6` (rank 360) 0.9–1.1 s.  `ulm`
 # builds no lattice: `ulm "(Z/2)^600"` takes 0.02–0.03 s in process (2 CPUs,
 # Python 3.11).
@@ -420,17 +420,21 @@ class Subgroup:
         for x in grp.element_coords():
             yield self.ambient.element(mat_mul([x], emb, self.ambient.rank)[0])
 
-    def _relation_coords(self):
-        """The relations of H = L/R in the coordinates of the basis rows of
-        L: the coordinates in L of each row m_i·e_i of R, in column order
-        (intlinalg.lattice_coords), so that their product with L is R's
-        rows.  L is an echelon HNF that contains R, so each column i with
-        m_i ≠ 0 is one of its pivot columns, with pivot d_i | m_i: those
-        coordinates are zero before that row of L and m_i/d_i at it.  The
-        coordinate rows are thus echelon with positive leading entries, so
-        their HNF needs only the entries above its pivots reduced.
-        """
+    def as_group_with_embedding(self):
+        """(H as an abstract FgGroup, rows = ambient coords of its generators).
+
+        H = L/R is presented by its relations in the coordinates of the
+        basis rows of L: the coordinates in L of each row m_i·e_i of R, in
+        column order (intlinalg.lattice_coords), so that their product with
+        L is R's rows.  L is an echelon HNF that contains R, so each column
+        i with m_i ≠ 0 is one of its pivot columns, with pivot d_i | m_i:
+        those coordinates are zero before that row of L and m_i/d_i at it.
+        The coordinate rows are thus echelon with positive leading entries,
+        so their HNF needs only the entries above its pivots reduced; the
+        abstract form is the Smith form of that HNF."""
         L = self.basis
+        if not L:
+            return FgGroup(()), []
         g = len(self.ambient.moduli)
         rel = []
         for i, m in enumerate(self.ambient.moduli):
@@ -442,16 +446,6 @@ class Subgroup:
                     raise GroupError(
                         "relation row outside the subgroup lattice")
                 rel.append(coords)
-        return rel
-
-    def as_group_with_embedding(self):
-        """(H as an abstract FgGroup, rows = ambient coords of its generators):
-        the Smith form of H's relations in the coordinates of its basis rows
-        (_relation_coords), reduced above their pivots."""
-        L = self.basis
-        if not L:
-            return FgGroup(()), []
-        rel = self._relation_coords()
         reduce_above_pivots(rel)
         grp, gens = _group_from_lattice(len(L), rel)
         return grp, mat_mul(gens, L)

@@ -35,10 +35,11 @@ Complements are decided by splitting instead: a finitely generated H ≤ M is
 a direct summand iff the quotient map M → M/H has a section, and for finite
 M that holds iff H is pure.  So the order criterion and the congruence solve
 behind the section are two independent decisions of the same property.  The
-section lifts each generator q_i of M/H = ⊕ ℤ/s_i, read off one Smith form of
-H's lattice, to an x_i of order dividing s_i, and the complement is
-K = ⟨x_i⟩, its image.  It is checked by orders and by the membership in H of
-each e_j − Σ_i V[j][i]·x_i, with no second HNF.
+section lifts each generator q_i of M/H = ⊕ ℤ/s_i, read off one Smith form
+U·L·V = S of H's lattice L, to an x_i of order dividing s_i by one congruence
+solve over P = diag(m)·V·S⁻¹, and the complement is K = ⟨x_i⟩, its image.
+It is checked by orders and by the membership in H of each
+e_j − Σ_i V[j][i]·x_i, with no second HNF.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .groups import FgGroup, GroupError, Subgroup, factorize, quotient
 from .intlinalg import (
     hermite_row_basis,
     in_lattice,
-    lattice_coords,
     mat_mul,
     pivot_product,
     smith_normal_form,
@@ -153,31 +153,32 @@ def _section(H: Subgroup, M: FgGroup):
 
     With U·L·V = S the Smith form of H's lattice L (square, since L contains
     diag(m)), M/H = ⊕ ℤ/s_i over the s_i ≠ 1, generated by the rows q_i of
-    V⁻¹.  A lift q_i + c·L of q_i has order dividing s_i in M iff
-    s_i·q_i + s_i·c·L lies in the relation lattice, spanned by the rows
-    m_j·e_j.  In the coordinates of L, with a_i those of s_i·q_i and R
-    those of the m_j·e_j (Subgroup._relation_coords, so R·L = diag(m)),
-    that is a_i + s_i·c = y·R for some y, i.e. y·R ≡ a_i (mod s_i), and
-    then c = (y·R − a_i)/s_i.  The lift is
-    x_i = q_i + c·L = q_i + (y·diag(m) − s_i·q_i)/s_i, whose coordinates
-    are y_j·m_j/s_i.  One solve of Rᵀ·y ≡ a_i serves every i
-    (intlinalg.solve_congruence_columns); when it has none, no lift of
-    some q_i has order s_i, so M/H does not embed back in M.  x holds the
-    lifts x_i and V its columns i, in the same order, so that
-    e_j ≡ Σ_i V[j][i]·x_i modulo H.
+    V⁻¹.  A lift x_i = q_i + c·L of q_i has order dividing s_i iff
+    s_i·x_i = y·diag(m) for some y, i.e. iff y·R ≡ U[i] (mod s_i) in L's
+    coordinates, where s_i·q_i = U[i]·L and R = diag(m)·L⁻¹; then
+    x_i = y·diag(m)/s_i.  L⁻¹ = V·S⁻¹·U gives R = P·U with
+    P = diag(m)·V·S⁻¹, integral since R and U⁻¹ are, so the system is
+    y·P ≡ e_i (mod s_i): one solve of Pᵀ·y ≡ e_i, Pᵀ[k][j] = m_j·V[j][k]/s_k,
+    serves every i (intlinalg.solve_congruence_columns), and needs neither U
+    nor V⁻¹.  When it has none, no lift of some q_i has order s_i, so M/H
+    does not embed back in M.  x holds the lifts x_i and V its columns i, in
+    the same order, so that e_j ≡ Σ_i V[j][i]·x_i modulo H.
     """
     L = H.basis
-    _, S, V, Vi = smith_normal_form(L, ("V", "Vinv"))
-    keep = [i for i in range(len(L)) if S[i][i] != 1]
+    _, S, V, _ = smith_normal_form(L, ("V",))
+    n = len(L)
+    Pt = []  # Pᵀ, row k: column k of diag(m)·V, divided by s_k
+    for k in range(n):
+        s = S[k][k]
+        row = [m * V[j][k] for j, m in enumerate(M.moduli)]
+        if any(v % s for v in row):
+            raise GroupError("diag(m)·V·S⁻¹ is not integral: "
+                             "not a Smith form of H's lattice")
+        Pt.append([v // s for v in row])
+    keep = [i for i in range(n) if S[i][i] != 1]
     moduli = [S[i][i] for i in keep]
-    rhs = []
-    for i, s in zip(keep, moduli):
-        a = lattice_coords(L, [s * v for v in Vi[i]])
-        if a is None:
-            raise GroupError(f"s_{i}·q_{i} outside H: not a Smith form of H")
-        rhs.append(a)
-    R = H._relation_coords()
-    ys = solve_congruence_columns([list(c) for c in zip(*R)], rhs, moduli)
+    ys = solve_congruence_columns(
+        Pt, [[int(k == i) for k in range(n)] for i in keep], moduli)
     if ys is None:
         return None
     x = [[c * m // s for c, m in zip(y, M.moduli)] for s, y in zip(moduli, ys)]
@@ -209,7 +210,8 @@ def complement(H: Subgroup, M: FgGroup):
     """K with H ⊕ K = M, or None when H is not a direct summand.
 
     Existence is decided by splitting alone: a section of M → M/H is sought
-    by one congruence solve (_section), and None means none exists.  For
+    by one congruence solve over P = diag(m)·V·S⁻¹ = diag(m)·L⁻¹·U⁻¹
+    (_section), and None means none exists.  For
     finite M that happens exactly when H is not pure (Lemma mod (1)⇔(5) at
     finite scale), which is_pure decides independently by orders.  K is the
     image of the section, spanned by the lifts x_i.  The result is checked

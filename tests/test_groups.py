@@ -535,6 +535,58 @@ def test_homomorphism_image():
     assert h.image().order() == 4
 
 
+_M, _N = FgGroup((4, 2)), FgGroup((2, 4))
+_H, _K = Subgroup(_M, [[2, 0]]), Subgroup(_N, [[1, 0]])
+_HOM = Homomorphism(_N, _M, [[0, 0], [0, 0]])
+
+# Each refusal of the groups module, raised through the call that reaches
+# it, with its full message.
+_REFUSALS = [
+    ("element-check", lambda: _M.zero() + _N.zero(),
+     "elements of different groups"),
+    ("generator-group", lambda: Subgroup.from_generators(_M, [_N.zero()]),
+     "generator not in the ambient group"),
+    ("generator-length", lambda: Subgroup.from_generators(_M, [[1, 0, 0]]),
+     "generator has wrong length"),
+    ("contains", lambda: _H.contains(_N.zero()),
+     "element not in the ambient group"),
+    ("le", lambda: _H <= _K, "subgroups of different groups"),
+    ("sum", lambda: _H.sum(_K), "subgroups of different groups"),
+    ("intersection", lambda: _H.intersection(_K),
+     "subgroups of different groups"),
+    ("index-in", lambda: _M.full_subgroup().index_in(_H),
+     "not a sub-subgroup"),
+    ("quotient", lambda: quotient(_M, _K), "subgroup of a different group"),
+    ("image-of-subgroup", lambda: _HOM.image_of_subgroup(_H),
+     "subgroup of a different group"),
+    ("hom-rows", lambda: Homomorphism(_M, _N, [[0, 0]]),
+     "one image row per source generator required"),
+    ("hom-row-length", lambda: Homomorphism(_M, _N, [[0], [0]]),
+     "image row has wrong length"),
+    ("hom-call", lambda: _HOM(_M.zero()), "element not in the source group"),
+    ("reduce-coords", lambda: _M.element([1, 2, 3]),
+     "expected 2 coordinates, got 3"),
+    ("element-coords", lambda: FgGroup((0, 2)).element_coords(),
+     "cannot enumerate an infinite group"),
+    ("groups-of-order", lambda: abelian_groups_of_order(0),
+     "order must be positive"),
+    ("subgroups-infinite", lambda: all_subgroups(FgGroup((2, 0))),
+     "subgroup enumeration requires a finite group"),
+    ("subgroups-order", lambda: all_subgroups(FgGroup((65,))),
+     "order 65 exceeds the limit 64 on subgroup enumeration"),
+    ("parse-modulus", lambda: parse_group("Z/2 + Z/0"),
+     "Z/n requires n >= 1"),
+]
+
+
+@pytest.mark.parametrize("call, message", [r[1:] for r in _REFUSALS],
+                         ids=[r[0] for r in _REFUSALS])
+def test_refusals_name_what_is_wrong(call, message):
+    with pytest.raises(GroupError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_factorize():
     for n in range(1, 2000):
         f = factorize(n)

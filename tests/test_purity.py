@@ -308,6 +308,26 @@ def test_complement_rejects_the_section_of_another_subgroup(monkeypatch):
         purity.complement(H, M)
 
 
+def test_section_refuses_a_smith_form_whose_p_is_not_integral(monkeypatch):
+    """P = diag(m)·V·S⁻¹ is integral for every Smith form U·L·V = S of H's
+    lattice; with each s_k doubled it is not, since column 1 of
+    diag(m)·V·S⁻¹ is (1, 0) for H = ⟨(0, 1)⟩ in ℤ/4 ⊕ ℤ/2, and _section
+    refuses it by a GroupError, which python -O keeps."""
+    real = purity.smith_normal_form
+
+    def doubled(A, transforms, carry=None):
+        U, S, V, Vi = real(A, transforms, carry)
+        return U, [[2 * v for v in row] for row in S], V, Vi
+
+    monkeypatch.setattr(purity, "smith_normal_form", doubled)
+    M = FgGroup((4, 2))
+    H = Subgroup.from_generators(M, [M.element([0, 1])])
+    with pytest.raises(GroupError) as exc:
+        purity.complement(H, M)
+    assert str(exc.value) == ("diag(m)·V·S⁻¹ is not integral: "
+                              "not a Smith form of H's lattice")
+
+
 def test_purity_and_complement_with_trivial_coordinates():
     M = FgGroup((1, 4, 1, 2))
     H = Subgroup.from_generators(M, [M.element([0, 0, 0, 1])])
